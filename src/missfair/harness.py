@@ -6,6 +6,7 @@ Three entry points: `run_simulation` (synthetic cohorts, repeated end to end),
 `report.csv` plus a `manifest.json` capturing the resolved configuration.
 """
 
+import copy
 import csv
 import json
 import math
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from . import impute, metrics, predict, theory
-from .data_model import Cohort, ConfigurationError, MaskedCohort, ObservationMask, \
-    SplitSpec, split
+from . import impute, linalg_stat, metrics, predict, theory
+from .data_model import Cohort, ConfigurationError, ObservationMask, SplitSpec, split
 from .missingness import ScenarioSpec, apply_scenario
 from .synthgen import ClusterSpec, PopulationSpec, generate
 
@@ -58,6 +58,10 @@ DEFAULT_CONFIG = {
     "csv": None,
 }
 
+# Domain errors that contain one cell of a run; anything else is a bug and propagates.
+CELL_ERRORS = (ConfigurationError, predict.ConvergenceError, linalg_stat.SingularSystemError,
+               metrics.UndefinedMetricError, metrics.UnreliableBootstrapError)
+
 
 def _merge(base, override):
     out = dict(base)
@@ -73,7 +77,7 @@ def _merge(base, override):
 
 def load_config(path=None, overrides=None):
     """Resolve a run configuration: defaults, then YAML file, then CLI overrides."""
-    config = dict(DEFAULT_CONFIG)
+    config = DEFAULT_CONFIG
     if path is not None:
         with open(path) as handle:
             loaded = yaml.safe_load(handle) or {}
@@ -81,7 +85,7 @@ def load_config(path=None, overrides=None):
             raise ConfigurationError("configuration file must hold a mapping")
         config = _merge(config, loaded)
     config = _merge(config, {k: v for k, v in (overrides or {}).items() if v is not None})
-    return config
+    return copy.deepcopy(config)    # editing a run's config must not touch the defaults
 
 
 def _population_spec(config, seed):
@@ -127,11 +131,11 @@ def _imputer_spec(entry, seed):
     )
 
 
-def _logistic_spec(config, fixed):
+def _logistic_spec(config):
     m = config["model"]
     return predict.LogisticSpec(
         penalty_grid=tuple(float(p) for p in m.get("penalty_grid", (0.1, 1.0, 10.0, 100.0))),
-        fixed_penalty=float(m["fixed_penalty"]) if fixed else None,
+        fixed_penalty=float(m["fixed_penalty"]),
     )
 
 
@@ -139,30 +143,52 @@ def _derived_seed(*entropy):
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def _cell_metrics(cohort, mask, train, test, imputer_spec, logistic_spec, target, capacities):
-    """All metric values for one (scenario, imputer) cell: {(metric, group): value}."""
-    fitted = impute.fit(train, imputer_spec)
+def _run_cell(imputer_spec, logistic_spec, partitions, capacities, target=None,
+              resamples=0, bootstrap_seed=0):
+    """Fit on train, complete each partition once, train, score test; (values, error).
+
+    `values` maps (metric, group) to a test-row metric, or to (value,
+    BootstrapSummary) with `resamples`; `target` adds its reconstruction error.
+    A domain error contains the cell as (None, message); others propagate.
+    """
+    train, tune, test = partitions
+    try:
+        fitted = impute.fit(train, imputer_spec)
+        done = [(part, impute.transform(fitted, part)) for part in (train, tune)
+                if part is not None]
+        model = predict.train(done[0][1], train.outcome, logistic_spec,
+                              *((done[1][1], tune.outcome) if tune is not None else ()))
+        done.append((test, impute.transform(fitted, test)))
+        scores = predict.predict(model, done[-1][1])
+        values = _test_metrics(scores, test, capacities)
+        if target is not None:
+            _store(values, "reconstruction", metrics.reconstruction_error(done, target))
+        del done    # scored: free the completions before resampling
+        if resamples:
+            summaries = metrics.bootstrap(
+                lambda rows: _test_metrics(scores, test, capacities, rows), test.n,
+                n_resamples=resamples, seed=bootstrap_seed)
+            values = {key: (value, summaries[key]) for key, value in values.items()}
+        return values, None
+    except CELL_ERRORS as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _test_metrics(scores, test, capacities, rows=slice(None)):
+    """{(metric, group): value} of the risk scores on the test rows (or a resample)."""
+    s, y, g = scores[rows], test.outcome[rows], test.group[rows]
     values = {}
-
-    recon = metrics.reconstruction_error(
-        cohort, mask, impute.transform(fitted, MaskedCohort(cohort, mask)), target)
-    _store(values, "reconstruction", recon)
-
-    model = predict.train(impute.transform(fitted, train), train.outcome, logistic_spec)
-    scores = predict.predict(model, impute.transform(fitted, test))
-    _store(values, "auc", metrics.auc(scores, test.outcome, test.group))
+    _store(values, "auc", metrics.auc(s, y, g))
     for capacity in capacities:
-        tm = metrics.threshold_metrics(scores, test.outcome, test.group, capacity)
+        tm = metrics.threshold_metrics(s, y, g, capacity)
         _store(values, f"fnr@{capacity:g}", tm.fnr)
         _store(values, f"prioritisation@{capacity:g}", tm.prioritisation_rate)
     return values
 
 
 def _store(values, name, gm):
-    values[(name, "overall")] = gm.overall
-    values[(name, "majority")] = gm.majority
-    values[(name, "marginalised")] = gm.marginalised
-    values[(name, "gap")] = gm.gap
+    for group in ("overall", "majority", "marginalised", "gap"):
+        values[(name, group)] = getattr(gm, group)
 
 
 def _simulate_repetition(config, rep):
@@ -172,20 +198,20 @@ def _simulate_repetition(config, rep):
     split_spec = SplitSpec(float(config["split"]["train"]), float(config["split"]["tune"]),
                            float(config["split"]["test"]), _derived_seed(seed, rep, 1))
     target = int(config["target_covariate"])
-    logistic_spec = _logistic_spec(config, fixed=True)
+    logistic_spec = _logistic_spec(config)
     records, errors = {}, {}
     for s_index, entry in enumerate(config["scenarios"]):
         scenario_spec = _scenario_spec(entry, target, _derived_seed(seed, rep, 2, s_index))
-        mask = apply_scenario(cohort, scenario_spec)
-        train, _, test = split(cohort, mask, split_spec)
+        partitions = split(cohort, apply_scenario(cohort, scenario_spec), split_spec)
         for i_index, imp_entry in enumerate(config["imputers"]):
             imputer_spec = _imputer_spec(imp_entry, _derived_seed(seed, rep, 3, i_index))
             cell = (scenario_spec.scenario, imputer_spec.label())
-            try:
-                records[cell] = _cell_metrics(cohort, mask, train, test, imputer_spec,
-                                              logistic_spec, target, config["capacities"])
-            except Exception as exc:   # contain the cell, keep the run going
-                errors[cell] = f"{type(exc).__name__}: {exc}"
+            values, error = _run_cell(imputer_spec, logistic_spec, partitions,
+                                      config["capacities"], target)
+            if error:
+                errors[cell] = error
+            else:
+                records[cell] = values
     return records, errors
 
 
@@ -215,34 +241,38 @@ def _format(value):
     return value
 
 
-def _aggregate(per_rep, cell_errors, repetitions):
-    """Long-format rows from per-repetition cell records; nan values are skipped."""
-    collected = {}
-    for records in per_rep:
+def _row(cell, n_repetitions, error="", metric="", group="", mean=math.nan, std=math.nan,
+         lower=math.nan, upper=math.nan, n_values=0):
+    """One report row; the defaults give the row standing in for a cell with no value."""
+    return {"scenario": cell[0], "imputer": cell[1], "metric": metric, "group": group,
+            "mean": mean, "std": std, "lower": lower, "upper": upper,
+            "n_values": n_values, "n_repetitions": n_repetitions, "error": error}
+
+
+def _aggregate(results, repetitions):
+    """Long-format rows from per-repetition (records, errors); nan values are skipped."""
+    collected, messages = {}, {}
+    for records, errors in results:
         for cell, values in records.items():
             for (metric, group), value in values.items():
                 collected.setdefault((cell, metric, group), []).append(value)
+        for cell, message in errors.items():
+            messages.setdefault(cell, set()).add(message)
+    messages = {cell: "; ".join(sorted(texts)) for cell, texts in messages.items()}
     rows = []
     for (cell, metric, group), values in sorted(collected.items()):
         arr = np.asarray(values, dtype=float)
         ok = arr[~np.isnan(arr)]
-        error = "; ".join(sorted(set(cell_errors.get(cell, ()))))
-        rows.append({
-            "scenario": cell[0], "imputer": cell[1], "metric": metric, "group": group,
-            "mean": float(ok.mean()) if ok.size else math.nan,
-            "std": float(ok.std(ddof=1)) if ok.size > 1 else (0.0 if ok.size else math.nan),
-            "lower": float(np.quantile(ok, 0.025)) if ok.size else math.nan,
-            "upper": float(np.quantile(ok, 0.975)) if ok.size else math.nan,
-            "n_values": int(ok.size),
-            "n_repetitions": repetitions,
-            "error": error,
-        })
-    for cell, messages in sorted(cell_errors.items()):
+        rows.append(_row(
+            cell, repetitions, messages.get(cell, ""), metric, group,
+            mean=float(ok.mean()) if ok.size else math.nan,
+            std=float(ok.std(ddof=1)) if ok.size > 1 else (0.0 if ok.size else math.nan),
+            lower=float(np.quantile(ok, 0.025)) if ok.size else math.nan,
+            upper=float(np.quantile(ok, 0.975)) if ok.size else math.nan,
+            n_values=int(ok.size)))
+    for cell, message in sorted(messages.items()):
         if not any(r["scenario"] == cell[0] and r["imputer"] == cell[1] for r in rows):
-            rows.append({"scenario": cell[0], "imputer": cell[1], "metric": "", "group": "",
-                         "mean": math.nan, "std": math.nan, "lower": math.nan,
-                         "upper": math.nan, "n_values": 0, "n_repetitions": repetitions,
-                         "error": "; ".join(sorted(set(messages)))})
+            rows.append(_row(cell, repetitions, message))
     return rows
 
 
@@ -272,15 +302,14 @@ def run_simulation(config):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda rep: _simulate_repetition(config, rep),
                                     range(repetitions)))
-    cell_errors = {}
-    for _, errors in results:
-        for cell, message in errors.items():
-            cell_errors.setdefault(cell, []).append(message)
-    rows = _aggregate([records for records, _ in results], cell_errors, repetitions)
+    return _audited_report(_aggregate(results, repetitions),
+                           {"mode": "simulate", "config": _manifest_config(config)})
+
+
+def _audited_report(rows, manifest):
     problems = audit_sign_convention(rows)
     if problems:
         raise RuntimeError(f"gap sign-convention audit failed for cells: {problems}")
-    manifest = {"mode": "simulate", "config": _manifest_config(config)}
     return Report(tuple(rows), manifest)
 
 
@@ -296,34 +325,52 @@ def read_csv_cohort(path, group_column, outcome_column,
     All columns except the group and outcome columns are treated as numeric
     covariates. Returns (Cohort, ObservationMask, covariate_names); ground truth
     at missing positions is unknowable, so those cells carry 0 under the mask.
+    Ragged rows, non-finite covariates and a third value in the group or
+    outcome column raise ConfigurationError naming the line and column.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        rows = list(reader)
-    if group_column not in header or outcome_column not in header:
-        raise ConfigurationError(
-            f"columns '{group_column}' and '{outcome_column}' must exist in the CSV")
-    g_idx, y_idx = header.index(group_column), header.index(outcome_column)
-    cov_idx = [i for i in range(len(header)) if i not in (g_idx, y_idx)]
-    names = [header[i] for i in cov_idx]
-    n, d = len(rows), len(cov_idx)
-    if n == 0 or d == 0:
+        header = next(reader, [])
+        if group_column not in header or outcome_column not in header:
+            raise ConfigurationError(
+                f"columns '{group_column}' and '{outcome_column}' must exist in the CSV")
+        g_idx, y_idx = header.index(group_column), header.index(outcome_column)
+        cov_idx = [i for i in range(len(header)) if i not in (g_idx, y_idx)]
+        labels = {g_idx: [str(marginalised_value)], y_idx: [str(positive_value)]}
+        X, binary = [], []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ConfigurationError(
+                    f"{where}: {len(row)} fields where the header has {len(header)}")
+            cells = [cell.strip() for cell in row]
+            for i, allowed in labels.items():   # the marked value plus one other
+                if cells[i] not in allowed:
+                    allowed.append(cells[i])
+                if len(allowed) > 2:
+                    raise ConfigurationError(
+                        f"{where}, column '{header[i]}': {cells[i]!r} is a third value "
+                        f"besides {allowed[0]!r} and {allowed[1]!r}")
+            binary.append([int(cells[i] == labels[i][0]) for i in (g_idx, y_idx)])
+            X.append([_covariate(cells[i], header[i], where) for i in cov_idx])
+    if not X or not cov_idx:
         raise ConfigurationError("CSV needs at least one row and one covariate column")
-    X = np.zeros((n, d))
-    observed = np.ones((n, d), dtype=bool)
-    group = np.zeros(n, dtype=np.int8)
-    outcome = np.zeros(n, dtype=np.int8)
-    for r, row in enumerate(rows):
-        group[r] = 1 if row[g_idx].strip() == str(marginalised_value) else 0
-        outcome[r] = 1 if row[y_idx].strip() == str(positive_value) else 0
-        for c, i in enumerate(cov_idx):
-            cell = row[i].strip()
-            if cell == "":
-                observed[r, c] = False
-            else:
-                X[r, c] = float(cell)
-    return Cohort(X, group, outcome), ObservationMask(observed), names
+    X = np.array(X)
+    group, outcome = np.array(binary).T
+    return (Cohort(np.nan_to_num(X), group, outcome), ObservationMask(~np.isnan(X)),
+            [header[i] for i in cov_idx])
+
+
+def _covariate(cell, column, where):
+    """A finite float, or nan for an empty (missing) cell."""
+    if cell == "":
+        return math.nan
+    try:
+        if math.isfinite(float(cell)):
+            return float(cell)
+    except ValueError:
+        pass
+    raise ConfigurationError(f"{where}, column '{column}': {cell!r} is not a finite number")
 
 
 def run_csv_audit(config):
@@ -342,70 +389,27 @@ def run_csv_audit(config):
         spec.get("marginalised_value", "1"), spec.get("positive_value", "1"))
     seed = int(config["seed"])
     fractions = spec.get("fractions", (0.8, 0.1, 0.1))
-    train, tune, test = split(cohort, mask, SplitSpec(
+    partitions = split(cohort, mask, SplitSpec(
         float(fractions[0]), float(fractions[1]), float(fractions[2]),
         _derived_seed(seed, 0, 1)))
-    logistic_spec = _logistic_spec(config, fixed=tune is None)
-    capacities = config["capacities"]
+    logistic_spec = _logistic_spec(config)
     resamples = int(config["bootstrap_resamples"])
 
     rows = []
-    cell_errors = {}
     for i_index, imp_entry in enumerate(config["imputers"]):
         imputer_spec = _imputer_spec(imp_entry, _derived_seed(seed, 0, 3, i_index))
         cell = ("csv", imputer_spec.label())
-        try:
-            fitted = impute.fit(train, imputer_spec)
-            model = predict.train(
-                impute.transform(fitted, train), train.outcome, logistic_spec,
-                tune_result=impute.transform(fitted, tune) if tune is not None else None,
-                tune_outcome=tune.outcome if tune is not None else None)
-            scores = predict.predict(model, impute.transform(fitted, test))
-
-            def metric_fn(idx):
-                out = {}
-                s, y, g = scores[idx], test.outcome[idx], test.group[idx]
-                _store_named(out, "auc", metrics.auc(s, y, g))
-                for capacity in capacities:
-                    tm = metrics.threshold_metrics(s, y, g, capacity)
-                    _store_named(out, f"fnr@{capacity:g}", tm.fnr)
-                    _store_named(out, f"prioritisation@{capacity:g}", tm.prioritisation_rate)
-                return out
-
-            summaries = metrics.bootstrap(metric_fn, test.n, n_resamples=resamples,
-                                          seed=_derived_seed(seed, 0, 4, i_index))
-            point = metric_fn(np.arange(test.n))
-            for key in sorted(point):
-                metric, group = key.rsplit("/", 1)
-                boot = summaries[key]
-                rows.append({
-                    "scenario": "csv", "imputer": imputer_spec.label(),
-                    "metric": metric, "group": group,
-                    "mean": point[key], "std": boot.std,
-                    "lower": boot.lower, "upper": boot.upper,
-                    "n_values": boot.n_effective, "n_repetitions": resamples,
-                    "error": "",
-                })
-        except Exception as exc:
-            cell_errors[cell] = [f"{type(exc).__name__}: {exc}"]
-            rows.append({"scenario": "csv", "imputer": imputer_spec.label(),
-                         "metric": "", "group": "", "mean": math.nan, "std": math.nan,
-                         "lower": math.nan, "upper": math.nan, "n_values": 0,
-                         "n_repetitions": resamples,
-                         "error": cell_errors[cell][0]})
-    problems = audit_sign_convention([r for r in rows if r["metric"]])
-    if problems:
-        raise RuntimeError(f"gap sign-convention audit failed for cells: {problems}")
-    manifest = {"mode": "audit-csv", "covariates": names,
-                "config": _manifest_config(config)}
-    return Report(tuple(rows), manifest)
-
-
-def _store_named(out, name, gm):
-    out[f"{name}/overall"] = gm.overall
-    out[f"{name}/majority"] = gm.majority
-    out[f"{name}/marginalised"] = gm.marginalised
-    out[f"{name}/gap"] = gm.gap
+        values, error = _run_cell(imputer_spec, logistic_spec, partitions,
+                                  config["capacities"], resamples=resamples,
+                                  bootstrap_seed=_derived_seed(seed, 0, 4, i_index))
+        if error:
+            rows.append(_row(cell, resamples, error))
+            continue
+        for (metric, group), (point, boot) in sorted(values.items()):
+            rows.append(_row(cell, resamples, "", metric, group, point, boot.std,
+                             boot.lower, boot.upper, boot.n_effective))
+    return _audited_report(rows, {"mode": "audit-csv", "covariates": names,
+                                  "config": _manifest_config(config)})
 
 
 def region_base_inputs(config):

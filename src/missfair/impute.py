@@ -21,7 +21,6 @@ class ImputerSpec:
     append_indicators: bool = False
     mice_iterations: int = 10
     mice_draws: int = 10
-    noise_draws: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -125,9 +124,7 @@ def fit(train, spec):
                     design = _mice_design(work, j, group, spec.uses_group)
                     coef, resid_std = ols_solve(design[rows], work[rows, j])
                     pred = design[~rows] @ coef
-                    if spec.noise_draws:
-                        pred = pred + resid_std * rng.standard_normal(pred.size)
-                    work[~rows, j] = pred
+                    work[~rows, j] = pred + resid_std * rng.standard_normal(pred.size)
                     regressions[j] = ChainRegression(j, coef, resid_std)
             chains.append(tuple(regressions.values()))
         chains = tuple(chains)
@@ -184,9 +181,7 @@ def _run_chain(fitted, data, regressions, rng):
                 continue
             design = _mice_design(X, j, data.group, spec.uses_group)
             pred = design[missing] @ reg.coefficients
-            if spec.noise_draws:
-                pred = pred + reg.residual_std * rng.standard_normal(pred.size)
-            X[missing, j] = pred
+            X[missing, j] = pred + reg.residual_std * rng.standard_normal(pred.size)
     return X
 
 

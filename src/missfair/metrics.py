@@ -29,33 +29,33 @@ class GroupMetric:
     def gap(self):
         return self.marginalised - self.majority
 
-    def as_dict(self, name):
-        return {f"{name}_overall": self.overall,
-                f"{name}_majority": self.majority,
-                f"{name}_marginalised": self.marginalised,
-                f"{name}_gap": self.gap}
 
+def reconstruction_error(parts, covariate):
+    """Mean squared imputation error on masked entries, pooled over partitions and draws.
 
-def reconstruction_error(cohort, mask, result, covariate):
-    """Mean squared imputation error on masked entries, averaged over draws.
-
+    `parts` pairs each partition (a MaskedCohort) with its ImputationResult.
     Reads ground truth at the masked positions, so it applies to synthetic data
     where the truth is known. Groups with no masked entry come back as nan.
     """
-    truth = cohort.covariates[:, covariate]
-    missing = ~mask.observed[:, covariate]
-    if not missing.any():
+    errors, groups = [], []
+    for part, result in parts:
+        missing = ~part.mask.observed[:, covariate]
+        truth = part.cohort.covariates[missing, covariate]
+        errors.append(np.stack([(m[missing, covariate] - truth) ** 2
+                                for m in result.completed]))
+        groups.append(part.group[missing])
+    group = np.concatenate(groups)
+    if not group.size:
         raise UndefinedMetricError("no masked entries to score")
-    errors = np.stack([(m[:, covariate] - truth) ** 2 for m in result.completed])
+    errors = np.concatenate(errors, axis=1)
 
     def _mse(rows):
-        sel = rows & missing
-        return float(errors[:, sel].mean()) if sel.any() else math.nan
+        return float(errors[:, rows].mean()) if rows.any() else math.nan
 
     return GroupMetric(
-        overall=_mse(np.ones(cohort.n, dtype=bool)),
-        majority=_mse(cohort.group == 0),
-        marginalised=_mse(cohort.group == 1),
+        overall=_mse(np.ones(group.size, dtype=bool)),
+        majority=_mse(group == 0),
+        marginalised=_mse(group == 1),
     )
 
 
@@ -165,7 +165,7 @@ def bootstrap(metric_fn, n_rows, n_resamples=100, seed=0, confidence=0.95):
         dropped = arr.size - ok.size
         if dropped > arr.size // 2:
             raise UnreliableBootstrapError(
-                f"metric '{name}' undefined in {dropped}/{arr.size} resamples")
+                f"metric {name!r} undefined in {dropped}/{arr.size} resamples")
         out[name] = BootstrapSummary(
             mean=float(ok.mean()),
             std=float(ok.std(ddof=1)) if ok.size > 1 else 0.0,

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from missfair import harness
+from missfair import harness, impute, predict
 from missfair.data_model import ConfigurationError
+from missfair.predict import ConvergenceError
 
 SMALL_POPULATION = {
     "n_majority": 3000, "n_marginalised": 600,
@@ -40,6 +41,18 @@ def test_load_config_defaults_file_and_overrides(tmp_path):
     assert config["split"]["train"] == 0.7
     assert config["split"]["tune"] == 0.0          # merged, not replaced
     assert config["population"]["n_majority"] == 100000
+
+
+def test_load_config_returns_independent_copies():
+    config = harness.load_config()
+    config["region"]["steps"] = 21
+    config["population"]["negative_cluster"]["mean"][0] = 5.0
+    config["imputers"].append({"strategy": "mice"})
+    fresh = harness.load_config()
+    assert fresh == harness.DEFAULT_CONFIG
+    assert fresh["region"]["steps"] == 101
+    assert fresh["population"]["negative_cluster"]["mean"] == [0.0, 0.0]
+    assert len(fresh["imputers"]) == 5
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -77,22 +90,63 @@ def test_simulation_deterministic_across_thread_counts(tmp_path):
 
 def test_simulation_contains_cell_errors(monkeypatch):
     calls = []
-    original = harness._cell_metrics
+    original = impute.fit
 
-    def flaky(cohort, mask, train, test, imputer_spec, logistic_spec, target, capacities):
-        calls.append(imputer_spec.label())
-        if imputer_spec.label() == "GroupMean":
-            raise RuntimeError("boom")
-        return original(cohort, mask, train, test, imputer_spec,
-                        logistic_spec, target, capacities)
+    def flaky(train, spec):
+        calls.append(spec.label())
+        if spec.label() == "GroupMean":
+            raise ConvergenceError("boom")
+        return original(train, spec)
 
-    monkeypatch.setattr(harness, "_cell_metrics", flaky)
+    monkeypatch.setattr(impute, "fit", flaky)
     report = harness.run_simulation(_small_config())
     rows = list(report.rows)
     failed = [r for r in rows if r["imputer"] == "GroupMean"]
-    assert failed and all("RuntimeError: boom" in r["error"] for r in failed)
+    assert failed and all("ConvergenceError: boom" in r["error"] for r in failed)
     ok = [r for r in rows if r["imputer"] == "PopulationMean" and r["metric"] == "auc"]
     assert ok and all(r["error"] == "" for r in ok)
+
+
+def test_programming_errors_in_a_cell_propagate(monkeypatch, tmp_path):
+    def broken(train, spec):
+        raise TypeError("stale signature")
+
+    standin = harness.make_standin(str(tmp_path / "standin.csv"), seed=0,
+                                   n_majority=500, n_marginalised=200, n_noise=1)
+    config = _small_config()
+    config["csv"] = {"path": standin}
+    monkeypatch.setattr(impute, "fit", broken)
+    with pytest.raises(TypeError, match="stale signature"):
+        harness.run_simulation(config)
+    with pytest.raises(TypeError, match="stale signature"):
+        harness.run_csv_audit(config)
+
+
+def test_simulation_tunes_penalty_and_completes_each_row_once(monkeypatch):
+    transformed, tuned = [], []
+    original_transform, original_train = impute.transform, predict.train
+
+    def counting_transform(fitted, data):
+        transformed.append(data.n)
+        return original_transform(fitted, data)
+
+    def spying_train(train_result, train_outcome, spec=None, tune_result=None,
+                     tune_outcome=None):
+        tuned.append(tune_result is not None)
+        return original_train(train_result, train_outcome, spec, tune_result, tune_outcome)
+
+    monkeypatch.setattr(impute, "transform", counting_transform)
+    monkeypatch.setattr(predict, "train", spying_train)
+    config = _small_config(scenarios=["S2", "S3"],
+                           split={"train": 0.7, "tune": 0.1, "test": 0.2})
+    rows = list(harness.run_simulation(config).rows)
+    assert all(r["error"] == "" for r in rows)
+    recon = [r for r in rows if r["metric"] == "reconstruction"]
+    assert recon and all(r["n_values"] == r["n_repetitions"] for r in recon)
+    cells = config["repetitions"] * 2 * len(config["imputers"])
+    n = SMALL_POPULATION["n_majority"] + SMALL_POPULATION["n_marginalised"]
+    assert sum(transformed) == cells * n
+    assert tuned == [True] * cells
 
 
 def test_repetition_seeds_differ_but_runs_reproduce():
@@ -120,6 +174,22 @@ def test_read_csv_cohort_missing_cells(tmp_path):
     assert mask.observed[0].all()
     assert cohort.group.tolist() == [0, 1, 1]
     assert cohort.outcome.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("body, where", [
+    ("1.0,2.0,0,1\n3.0,1,0\n", "line 3:"),
+    ("1.0,2.0,0,1\n3.0,2.0,1,0,9\n", "line 3:"),
+    ("1.0,abc,0,1\n", "line 2, column 'x2'"),
+    ("1.0,2.0,0,1\nnan,2.0,1,0\n", "line 3, column 'x1'"),
+    ("inf,2.0,0,1\n", "line 2, column 'x1'"),
+    ("1.0,2.0,0,1\n1.0,2.0,1,1\n1.0,2.0,2,1\n", "line 4, column 'group'"),
+    ("1.0,2.0,0,0\n1.0,2.0,1,1\n1.0,2.0,1,yes\n", "line 4, column 'outcome'"),
+], ids=["short-row", "long-row", "non-numeric", "nan", "inf", "third-group", "third-outcome"])
+def test_read_csv_cohort_rejects_malformed_cells(tmp_path, body, where):
+    path = tmp_path / "t.csv"
+    path.write_text("x1,x2,group,outcome\n" + body)
+    with pytest.raises(ConfigurationError, match=where):
+        harness.read_csv_cohort(str(path), "group", "outcome")
 
 
 def test_read_csv_cohort_requires_columns(tmp_path):

@@ -58,11 +58,27 @@ def test_reconstruction_error_handcrafted():
     imputed = X.copy()
     imputed[1, 1] = 3.0      # error 1
     imputed[3, 1] = 5.0      # error 9
-    r = reconstruction_error(cohort, mask, ImputationResult((imputed,)), 1)
+    r = reconstruction_error([(MaskedCohort(cohort, mask), ImputationResult((imputed,)))], 1)
     assert r.majority == pytest.approx(1.0)
     assert r.marginalised == pytest.approx(9.0)
     assert r.overall == pytest.approx(5.0)
     assert r.gap == pytest.approx(8.0)
+
+
+def test_reconstruction_error_pools_partitions():
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(40, 2))
+    group = (rng.random(40) < 0.4).astype(int)
+    observed = rng.random((40, 2)) < 0.6
+    whole = MaskedCohort(Cohort(X, group, np.zeros(40, dtype=int)), ObservationMask(observed))
+    draws = (X + rng.normal(size=(40, 2)), X + rng.normal(size=(40, 2)))
+    perm = rng.permutation(40)
+    parts = [(whole.take(rows), ImputationResult(tuple(d[rows] for d in draws)))
+             for rows in (np.sort(perm[:25]), np.sort(perm[25:]))]
+    pooled = reconstruction_error(parts, 1)
+    single = reconstruction_error([(whole, ImputationResult(draws))], 1)
+    for name in ("overall", "majority", "marginalised"):
+        assert getattr(pooled, name) == pytest.approx(getattr(single, name), rel=1e-12)
 
 
 def test_reconstruction_error_averages_draws():
@@ -71,7 +87,7 @@ def test_reconstruction_error_averages_draws():
     mask = ObservationMask(np.array([[True, False]]))
     a, b = X.copy(), X.copy()
     a[0, 1], b[0, 1] = 3.0, 1.0          # errors 1 and 1
-    r = reconstruction_error(cohort, mask, ImputationResult((a, b)), 1)
+    r = reconstruction_error([(MaskedCohort(cohort, mask), ImputationResult((a, b)))], 1)
     assert r.marginalised == pytest.approx(1.0)
     assert math.isnan(r.majority)
 
@@ -80,7 +96,8 @@ def test_reconstruction_error_requires_missing_entries():
     cohort = Cohort(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(2, dtype=int))
     mask = ObservationMask(np.ones((2, 2), dtype=bool))
     with pytest.raises(UndefinedMetricError):
-        reconstruction_error(cohort, mask, ImputationResult((np.zeros((2, 2)),)), 1)
+        reconstruction_error(
+            [(MaskedCohort(cohort, mask), ImputationResult((np.zeros((2, 2)),)))], 1)
 
 
 def test_threshold_selection_and_fnr_handcrafted():
