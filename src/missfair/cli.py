@@ -51,35 +51,6 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
 
-    if args.command == "simulate":
-        config = _resolve(args, {"repetitions": args.repetitions, "threads": args.threads})
-        report = harness.run_simulation(config)
-        path = report.write(config["output_dir"])
-        print(f"wrote {path}")
-        return 0
-
-    if args.command == "audit-csv":
-        config = _resolve(args)
-        csv_spec = dict(config.get("csv") or {})
-        if args.input:
-            csv_spec["path"] = args.input
-        if args.group_column:
-            csv_spec["group_column"] = args.group_column
-        if args.outcome_column:
-            csv_spec["outcome_column"] = args.outcome_column
-        config["csv"] = csv_spec
-        report = harness.run_csv_audit(config)
-        path = report.write(config["output_dir"])
-        print(f"wrote {path}")
-        return 0
-
-    if args.command == "region-scan":
-        config = _resolve(args)
-        report = harness.run_region_scan(config)
-        path = report.write(config["output_dir"])
-        print(f"wrote {path}")
-        return 0
-
     if args.command == "validate-theorems":
         lines, ok = harness.run_theorem_validation(
             n_cases=args.cases, n=args.samples, seed=args.seed, tolerance=args.tolerance)
@@ -91,7 +62,19 @@ def main(argv=None):
         print(f"wrote {harness.make_standin(args.out, seed=args.seed)}")
         return 0
 
-    return 2
+    config = _resolve(args, {"repetitions": args.repetitions, "threads": args.threads}
+                      if args.command == "simulate" else None)
+    if args.command == "audit-csv":
+        csv_spec = dict(config.get("csv") or {})
+        for key, value in (("path", args.input), ("group_column", args.group_column),
+                           ("outcome_column", args.outcome_column)):
+            if value:
+                csv_spec[key] = value
+        config["csv"] = csv_spec
+    run = {"simulate": harness.run_simulation, "audit-csv": harness.run_csv_audit,
+           "region-scan": harness.run_region_scan}[args.command]
+    print(f"wrote {run(config).write(config['output_dir'])}")
+    return 0
 
 
 if __name__ == "__main__":

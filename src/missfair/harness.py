@@ -85,7 +85,37 @@ def load_config(path=None, overrides=None):
             raise ConfigurationError("configuration file must hold a mapping")
         config = _merge(config, loaded)
     config = _merge(config, {k: v for k, v in (overrides or {}).items() if v is not None})
+    _check_numbers(config)
     return copy.deepcopy(config)    # editing a run's config must not touch the defaults
+
+
+_COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
+_INDEX = ("an integer >= 0", lambda v: isinstance(v, int) and v >= 0)
+# Numeric keys a bad value of which fails late, silently or unnamed; "[]" checks each entry.
+_NUMERIC_KEYS = {
+    "seed": _INDEX, "repetitions": _COUNT, "threads": _COUNT, "bootstrap_resamples": _COUNT,
+    "target_covariate": _INDEX, "region.steps": _COUNT,
+    "model.fixed_penalty": ("a number >= 0", lambda v: 0 <= float(v) < math.inf),
+    "model.penalty_grid[]": ("a list of numbers > 0", lambda v: 0 < float(v) < math.inf),
+    "capacities[]": ("a list of numbers in (0, 1)", lambda v: 0 < float(v) < 1),
+}
+
+
+def _check_numbers(config):
+    """Raise ConfigurationError naming the first numeric key the runners cannot use."""
+    for key, (requirement, test) in _NUMERIC_KEYS.items():
+        value = config
+        for part in key.removesuffix("[]").split("."):
+            value = value.get(part) if isinstance(value, dict) else None
+        listed = key.endswith("[]")
+        try:    # float() also reads numeric strings such as "1e-3", which YAML keeps as text
+            ok = listed == isinstance(value, list) and all(
+                not isinstance(v, bool) and test(v) for v in (value if listed else [value]))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigurationError(
+                f"{key.removesuffix('[]')} must be {requirement}, got {value!r}")
 
 
 def _population_spec(config, seed):

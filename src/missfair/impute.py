@@ -77,7 +77,7 @@ def fit(train, spec):
     X = train.covariates_masked
     observed = train.mask.observed
     group = train.group
-    n, d = X.shape
+    d = X.shape[1]
 
     fully_missing = np.flatnonzero(~observed.any(axis=0))
     if fully_missing.size:
@@ -103,31 +103,36 @@ def fit(train, spec):
                                 "falling back to the population mean")
         group_means[g] = means
 
-    chains = ()
     incomplete = tuple(int(j) for j in range(d) if not observed[:, j].all())
-    fallback_columns = set()
+    chains, fallback_columns = (), set()
     if spec.strategy in ("mice", "group_mice"):
+        fallback_columns = {j for j in incomplete if observed[:, j].sum() < d + 2}
+        # With at most one incomplete column every regression has complete predictors,
+        # so all chains and iterations would repeat one solve: make it once and share it.
+        solo = len(incomplete) <= 1
+        missing = {j: np.flatnonzero(~observed[:, j]) for j in incomplete}
         chains = []
-        for c in range(spec.mice_draws):
+        for c in range(1 if solo else spec.mice_draws):
             rng = np.random.default_rng(np.random.SeedSequence((spec.seed, c)))
             work = X.copy()
-            for j in incomplete:
-                work[~observed[:, j], j] = medians[j]
+            for j, rows in missing.items():
+                work[rows, j] = medians[j]
             regressions = {}
-            for _ in range(spec.mice_iterations):
-                for j in incomplete:
-                    rows = observed[:, j]
-                    if rows.sum() < d + 2:
-                        fallback_columns.add(j)
-                        work[~rows, j] = population_means[j]
+            for _ in range(1 if solo else spec.mice_iterations):
+                for j, rows in missing.items():
+                    if j in fallback_columns:
+                        work[rows, j] = population_means[j]
                         continue
-                    design = _mice_design(work, j, group, spec.uses_group)
-                    coef, resid_std = ols_solve(design[rows], work[rows, j])
-                    pred = design[~rows] @ coef
-                    work[~rows, j] = pred + resid_std * rng.standard_normal(pred.size)
+                    fit_rows = observed[:, j]
+                    coef, resid_std = ols_solve(
+                        _mice_design(work[fit_rows], j, group[fit_rows], spec.uses_group),
+                        work[fit_rows, j])
                     regressions[j] = ChainRegression(j, coef, resid_std)
+                    if not solo:    # the draw feeds the other columns' regressions
+                        pred = _mice_design(work[rows], j, group[rows], spec.uses_group) @ coef
+                        work[rows, j] = pred + resid_std * rng.standard_normal(pred.size)
             chains.append(tuple(regressions.values()))
-        chains = tuple(chains)
+        chains = tuple(chains) * (spec.mice_draws if solo else 1)
         if fallback_columns:
             warnings.append(f"MICE fell back to mean imputation for columns "
                             f"{sorted(fallback_columns)}: too few observed rows")
@@ -162,26 +167,18 @@ def _fill_means(fitted, data):
 
 def _run_chain(fitted, data, regressions, rng):
     X = data.covariates_masked.copy()
-    observed = data.mask.observed
     spec = fitted.spec
     by_column = {r.column: r for r in regressions}
-    for j in fitted.incomplete_columns:
-        missing = ~observed[:, j]
-        if j in fitted.fallback_columns or j not in by_column:
-            X[missing, j] = fitted.population_means[j]
-        else:
-            X[missing, j] = fitted.medians[j]
+    missing = {j: np.flatnonzero(~data.mask.observed[:, j]) for j in fitted.incomplete_columns}
+    for j, rows in missing.items():     # fallback columns have no regression
+        X[rows, j] = fitted.medians[j] if j in by_column else fitted.population_means[j]
     for _ in range(spec.mice_iterations):
-        for j in fitted.incomplete_columns:
+        for j, rows in missing.items():
             reg = by_column.get(j)
-            if reg is None:
+            if reg is None or not rows.size:
                 continue
-            missing = ~observed[:, j]
-            if not missing.any():
-                continue
-            design = _mice_design(X, j, data.group, spec.uses_group)
-            pred = design[missing] @ reg.coefficients
-            X[missing, j] = pred + reg.residual_std * rng.standard_normal(pred.size)
+            pred = _mice_design(X[rows], j, data.group[rows], spec.uses_group) @ reg.coefficients
+            X[rows, j] = pred + reg.residual_std * rng.standard_normal(pred.size)
     return X
 
 

@@ -66,15 +66,12 @@ def _auc_core(scores, outcomes):
     if n_pos == 0 or n_neg == 0:
         return math.nan
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a tie run spans sorted positions start..end; each member gets the run's mean rank
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size] - 1
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -120,10 +120,6 @@ class GroupDescriptor:
     std_true: float
     var_unobserved: float       # nan when no unobserved value exists
 
-    @property
-    def rho_defined(self):
-        return not math.isnan(self.rho)
-
 
 @dataclass(frozen=True)
 class MissingnessDescriptor:

@@ -5,7 +5,6 @@ probabilities. Raw covariates are standardised to training moments; appended
 missingness indicators are left on their 0/1 scale.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +52,9 @@ class FittedModel:
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|t|) is exp(-t) where t >= 0 and exp(t) where t < 0, and never overflows
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _standardisation(X, n_raw):
@@ -78,6 +74,7 @@ def _fit_draw(X, y, penalty, spec, n_raw):
     design = np.hstack([np.ones((n, 1)), Z])
     ridge = np.full(p + 1, penalty)
     ridge[0] = 0.0
+    loss = _penalised_loss(design, y, beta, ridge)
     for _ in range(spec.max_iterations):
         eta = design @ beta
         mu = _sigmoid(eta)
@@ -88,12 +85,12 @@ def _fit_draw(X, y, penalty, spec, n_raw):
         hess = design.T @ (design * w[:, None]) + np.diag(ridge)
         step = np.linalg.solve(hess, grad)
         # halve the step until the penalised loss stops increasing
-        loss = _penalised_loss(design, y, beta, ridge)
         scale = 1.0
         for _ in range(30):
             candidate = beta - scale * step
-            if _penalised_loss(design, y, candidate, ridge) <= loss + 1e-12:
-                beta = candidate
+            candidate_loss = _penalised_loss(design, y, candidate, ridge)
+            if candidate_loss <= loss + 1e-12:
+                beta, loss = candidate, candidate_loss
                 break
             scale *= 0.5
         else:

@@ -2,12 +2,13 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 import yaml
 
-from missfair import harness, impute, predict
+from missfair import cli, harness, impute, predict
 from missfair.data_model import ConfigurationError
 from missfair.predict import ConvergenceError
 
@@ -60,6 +61,31 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text(yaml.safe_dump({"repetition": 7}))
     with pytest.raises(ConfigurationError):
         harness.load_config(str(path))
+
+
+@pytest.mark.parametrize("text, key", [
+    ("repetitions: 0", "repetitions"),              # ran nothing, yet printed a report path
+    ("capacities: [1.5]", "capacities"),            # made every cell an UndefinedMetricError
+    ('threads: "two"', "threads"),                  # bare ValueError from int()
+    ("model: {fixed_penalty: abc}", "model.fixed_penalty"),   # bare ValueError from float()
+])
+def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
+    path = tmp_path / "run.yaml"
+    path.write_text(text + "\n")
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be"):
+        harness.load_config(str(path))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError):
+        cli.main(["simulate", "--config", str(path), "--out", str(out)])
+    assert "wrote" not in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_load_config_accepts_numeric_text_and_defaults(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("model: {fixed_penalty: 1e-3}\ncapacities: [0.1]\n")
+    assert harness.load_config(str(path))["model"]["fixed_penalty"] == "1e-3"
+    assert harness.load_config() == harness.DEFAULT_CONFIG
 
 
 def test_simulation_report_structure_and_sign_audit(tmp_path):

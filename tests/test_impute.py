@@ -4,6 +4,7 @@ import pytest
 from missfair import impute
 from missfair.data_model import (Cohort, ConfigurationError, MaskedCohort,
                                  ObservationMask)
+from missfair.linalg_stat import ols_solve
 
 ALL_SPECS = [
     impute.ImputerSpec("population_mean"),
@@ -157,3 +158,54 @@ def test_spec_validation():
         impute.ImputerSpec("median")
     with pytest.raises(ConfigurationError):
         impute.ImputerSpec("mice", mice_draws=0)
+
+
+def _count_ols(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ols_solve(*args, **kwargs)
+
+    monkeypatch.setattr(impute, "ols_solve", counting)
+    return calls
+
+
+def _two_incomplete(n=400, seed=0, miss=0.3):
+    data = _masked(n=n, seed=seed, miss=miss)
+    observed = data.mask.observed.copy()
+    observed[:, 0] = np.random.default_rng(seed + 100).random(n) >= miss
+    return MaskedCohort(data.cohort, ObservationMask(observed))
+
+
+@pytest.mark.parametrize("strategy", ["mice", "group_mice"])
+def test_one_incomplete_column_is_solved_once(monkeypatch, strategy):
+    calls = _count_ols(monkeypatch)
+    fitted = impute.fit(_masked(), impute.ImputerSpec(strategy, mice_draws=4,
+                                                      mice_iterations=3))
+    assert len(calls) == 1
+    assert len(fitted.chains) == 4
+    for chain in fitted.chains:
+        (reg,) = chain
+        assert np.array_equal(reg.coefficients, fitted.chains[0][0].coefficients)
+        assert reg.residual_std == fitted.chains[0][0].residual_std
+
+
+def test_two_incomplete_columns_iterate_every_chain(monkeypatch):
+    calls = _count_ols(monkeypatch)
+    data = _two_incomplete()
+    spec = impute.ImputerSpec("mice", mice_draws=4, mice_iterations=3)
+    fitted = impute.fit(data, spec)
+    assert fitted.incomplete_columns == (0, 2)
+    assert len(calls) == spec.mice_draws * spec.mice_iterations * 2
+    first = fitted.chains[0]
+    for chain in fitted.chains[1:]:
+        assert [r.column for r in chain] == [0, 2]
+        assert not all(np.array_equal(a.coefficients, b.coefficients)
+                       for a, b in zip(chain, first))
+
+    result = impute.transform(fitted, data)
+    for j in (0, 2):
+        missing = ~data.mask.observed[:, j]
+        assert not np.array_equal(result.completed[0][missing, j],
+                                  result.completed[1][missing, j])

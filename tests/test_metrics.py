@@ -32,6 +32,56 @@ def test_auc_single_class_is_nan():
     assert math.isnan(_auc_core(np.array([0.1, 0.9]), np.array([1, 1])))
 
 
+def _loop_auc(scores, outcomes):
+    """The tie-run loop _auc_core used before its ranks were vectorised."""
+    pos = outcomes == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    if n_pos == 0 or n_neg == 0:
+        return math.nan
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = ranks[pos].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _rankdata_auc(scores, outcomes):
+    """Mann-Whitney AUC from scipy's average ranks."""
+    rankdata = pytest.importorskip("scipy.stats").rankdata
+    pos = outcomes == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    return (rankdata(scores)[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@pytest.mark.parametrize("kind", ["random", "tie_heavy", "all_equal"])
+def test_auc_core_equals_tie_loop_and_rankdata(kind):
+    for seed in range(5):
+        r = np.random.default_rng(seed)
+        scores = {"random": r.random(500), "tie_heavy": np.round(r.random(500), 1),
+                  "all_equal": np.full(500, 0.3)}[kind]
+        outcomes = (r.random(500) < 0.4).astype(int)
+        value = _auc_core(scores, outcomes)
+        assert value == _loop_auc(scores, outcomes)
+        assert value == pytest.approx(_rankdata_auc(scores, outcomes), abs=1e-12)
+        if kind == "all_equal":
+            assert value == 0.5
+
+
+def test_auc_core_one_class_is_nan_like_tie_loop():
+    scores = np.round(np.random.default_rng(0).random(50), 1)
+    for label in (0, 1):
+        outcomes = np.full(50, label)
+        assert math.isnan(_auc_core(scores, outcomes))
+        assert math.isnan(_loop_auc(scores, outcomes))
+
+
 def test_auc_invariant_under_increasing_transform():
     rng = np.random.default_rng(1)
     scores = rng.random(200)

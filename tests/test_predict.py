@@ -15,6 +15,27 @@ def _data(n=600, seed=0, p=3):
     return ImputationResult((X,)), y
 
 
+def _two_branch_sigmoid(t):
+    """The boolean-index formula _sigmoid used before it was written with np.where."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_two_branch_formula():
+    edges = np.array([0.0, 1e-300, 36.0, 745.0, 1e308])
+    t = np.concatenate([edges, -edges,
+                        np.random.default_rng(0).normal(scale=20.0, size=1000)])
+    with np.errstate(over="raise"):
+        value = _sigmoid(t)
+    expected = _two_branch_sigmoid(t)
+    assert value.tobytes() == expected.tobytes()
+    assert np.signbit(t[5]) and value[5] == 0.5       # -0.0 takes the t >= 0 branch
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     n, p = 40, 3
