@@ -91,10 +91,17 @@ def load_config(path=None, overrides=None):
 
 _COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
 _INDEX = ("an integer >= 0", lambda v: isinstance(v, int) and v >= 0)
+_RATE = ("a number in [0, 1]", lambda v: 0 <= float(v) <= 1)
+_FINITE = ("a finite number", lambda v: math.isfinite(float(v)))
 # Numeric keys a bad value of which fails late, silently or unnamed; "[]" checks each entry.
 _NUMERIC_KEYS = {
     "seed": _INDEX, "repetitions": _COUNT, "threads": _COUNT, "bootstrap_resamples": _COUNT,
     "target_covariate": _INDEX, "region.steps": _COUNT,
+    "population.n_majority": _COUNT, "population.n_marginalised": _COUNT,
+    "population.prevalence_majority": _RATE, "population.prevalence_marginalised": _RATE,
+    "split.train": _RATE, "split.tune": _RATE, "split.test": _RATE,
+    **{f"region.{key}": _FINITE for key in (
+        "alpha_g", "alpha_ng", "r_g", "mu_obs_g", "mu_obs_ng", "sigma", "rho_min", "rho_max")},
     "model.fixed_penalty": ("a number >= 0", lambda v: 0 <= float(v) < math.inf),
     "model.penalty_grid[]": ("a list of numbers > 0", lambda v: 0 < float(v) < math.inf),
     "capacities[]": ("a list of numbers in (0, 1)", lambda v: 0 < float(v) < 1),

@@ -169,13 +169,15 @@ def _run_chain(fitted, data, regressions, rng):
     X = data.covariates_masked.copy()
     spec = fitted.spec
     by_column = {r.column: r for r in regressions}
-    missing = {j: np.flatnonzero(~data.mask.observed[:, j]) for j in fitted.incomplete_columns}
-    for j, rows in missing.items():     # fallback columns have no regression
+    missing = {j: np.flatnonzero(~data.mask.observed[:, j]) for j in range(fitted.d)}
+    missing = {j: rows for j, rows in missing.items() if rows.size}
+    # fallback columns and columns complete in train have no regression: they take the mean
+    for j, rows in missing.items():
         X[rows, j] = fitted.medians[j] if j in by_column else fitted.population_means[j]
     for _ in range(spec.mice_iterations):
         for j, rows in missing.items():
             reg = by_column.get(j)
-            if reg is None or not rows.size:
+            if reg is None:
                 continue
             pred = _mice_design(X[rows], j, data.group[rows], spec.uses_group) @ reg.coefficients
             X[rows, j] = pred + reg.residual_std * rng.standard_normal(pred.size)

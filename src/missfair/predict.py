@@ -51,9 +51,9 @@ class FittedModel:
         return len(self.draws)
 
 
-def _sigmoid(t):
-    # exp(-|t|) is exp(-t) where t >= 0 and exp(t) where t < 0, and never overflows
-    e = np.exp(-np.abs(t))
+def _sigmoid(t, e=None):
+    # e = exp(-|t|) is exp(-t) where t >= 0 and exp(t) where t < 0, and never overflows
+    e = np.exp(-np.abs(t)) if e is None else e
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -66,31 +66,65 @@ def _standardisation(X, n_raw):
     return means, stds
 
 
-def _fit_draw(X, y, penalty, spec, n_raw):
+def _warm_start(start, means, stds):
+    """`start`'s coefficients in the standardisation (means, stds), intercept first.
+
+    The model is carried through raw-feature space, so it predicts the same
+    probability for a raw row before and after the change of moments.
+    """
+    w_raw = start.weights / start.feature_stds
+    intercept = start.intercept - w_raw @ start.feature_means + w_raw @ means
+    return np.concatenate(([intercept], w_raw * stds))
+
+
+def _loss_and_mu(design, y, beta, ridge):
+    """Penalised loss at beta and the fitted probabilities, from one exp."""
+    eta = design @ beta
+    e = np.exp(-np.abs(eta))
+    # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)), computed stably
+    loss = np.sum(np.maximum(eta, 0.0) + np.log1p(e) - y * eta)
+    return float(loss + 0.5 * np.sum(ridge * beta * beta)), _sigmoid(eta, e)
+
+
+def _penalised_loss(design, y, beta, ridge):
+    return _loss_and_mu(design, y, beta, ridge)[0]
+
+
+def _fit_draw(X, y, penalty, spec, n_raw, start=None):
+    """Newton's method on the ridge-penalised loss in standardised coordinates.
+
+    `start` (a DrawModel) is mapped into this draw's standardisation and used
+    when its loss is below that of the zero start.
+    """
     means, stds = _standardisation(X, n_raw)
     Z = (X - means) / stds
     n, p = Z.shape
-    beta = np.zeros(p + 1)              # intercept first, unpenalised
     design = np.hstack([np.ones((n, 1)), Z])
     ridge = np.full(p + 1, penalty)
-    ridge[0] = 0.0
-    loss = _penalised_loss(design, y, beta, ridge)
+    ridge[0] = 0.0                      # intercept first, unpenalised
+    beta = np.zeros(p + 1)
+    loss, mu = _loss_and_mu(design, y, beta, ridge)
+    if start is not None:
+        warm = _warm_start(start, means, stds)
+        warm_loss, warm_mu = _loss_and_mu(design, y, warm, ridge)
+        if warm_loss < loss:
+            beta, loss, mu = warm, warm_loss, warm_mu
     for _ in range(spec.max_iterations):
-        eta = design @ beta
-        mu = _sigmoid(eta)
         grad = design.T @ (mu - y) + ridge * beta
         if np.linalg.norm(grad, ord=np.inf) < spec.tolerance:
             break
         w = np.maximum(mu * (1.0 - mu), 1e-10)
         hess = design.T @ (design * w[:, None]) + np.diag(ridge)
         step = np.linalg.solve(hess, grad)
-        # halve the step until the penalised loss stops increasing
+        # halve the step until the penalised loss stops increasing; the allowance
+        # is relative, since one ulp of a large loss exceeds any absolute 1e-12
+        allowance = 1e-12 * max(1.0, abs(loss))
         scale = 1.0
         for _ in range(30):
             candidate = beta - scale * step
-            candidate_loss = _penalised_loss(design, y, candidate, ridge)
-            if candidate_loss <= loss + 1e-12:
-                beta, loss = candidate, candidate_loss
+            candidate_loss, candidate_mu = _loss_and_mu(design, y, candidate, ridge)
+            if candidate_loss <= loss + allowance:
+                beta, loss, mu = candidate, candidate_loss, candidate_mu
                 break
             scale *= 0.5
         else:
@@ -100,13 +134,6 @@ def _fit_draw(X, y, penalty, spec, n_raw):
             f"no convergence in {spec.max_iterations} Newton iterations")
     return DrawModel(weights=beta[1:], intercept=float(beta[0]),
                      feature_means=means, feature_stds=stds)
-
-
-def _penalised_loss(design, y, beta, ridge):
-    eta = design @ beta
-    # log(1 + exp(eta)) - y * eta, computed stably
-    loss = np.sum(np.logaddexp(0.0, eta) - y * eta)
-    return loss + 0.5 * np.sum(ridge * beta * beta)
 
 
 def _score_draws(draws, result):
@@ -133,18 +160,23 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     if y.shape[0] != train_result.completed[0].shape[0]:
         raise ConfigurationError("outcome length must match the training rows")
 
-    def _fit_all(penalty):
-        return tuple(_fit_draw(train_result.features(i), y, penalty, spec, n_raw)
-                     for i in range(train_result.n_draws))
+    def _fit_all(penalty, start):
+        # each draw starts from the one before: the draws differ on few rows
+        draws = []
+        for i in range(train_result.n_draws):
+            start = _fit_draw(train_result.features(i), y, penalty, spec, n_raw, start)
+            draws.append(start)
+        return tuple(draws)
 
     if tune_result is None:
         penalty = spec.fixed_penalty if spec.fixed_penalty is not None else 1.0
-        draws = _fit_all(penalty)
+        draws = _fit_all(penalty, None)
     else:
         tune_y = np.asarray(tune_outcome)
-        best = None
+        best, draws = None, ()
         for penalty in sorted(spec.penalty_grid):
-            draws = _fit_all(penalty)
+            # the penalty path: the first draw starts from its fit at the last penalty
+            draws = _fit_all(penalty, draws[0] if draws else None)
             score = _auc_core(_score_draws(draws, tune_result), tune_y)
             if best is None or score > best[0] + 1e-12:
                 best = (score, penalty, draws)

@@ -68,6 +68,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("capacities: [1.5]", "capacities"),            # made every cell an UndefinedMetricError
     ('threads: "two"', "threads"),                  # bare ValueError from int()
     ("model: {fixed_penalty: abc}", "model.fixed_penalty"),   # bare ValueError from float()
+    ("population: {n_majority: abc}", "population.n_majority"),   # bare ValueError from int()
+    ("split: {train: abc}", "split.train"),                # bare ValueError from float()
+    ("region: {sigma: abc}", "region.sigma"),              # bare ValueError from float()
 ])
 def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     path = tmp_path / "run.yaml"

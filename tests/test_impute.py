@@ -142,6 +142,30 @@ def test_transform_applies_to_new_partition():
             assert np.isfinite(m).all()
 
 
+@pytest.mark.parametrize("strategy", ["mice", "group_mice"])
+def test_mice_fills_columns_complete_in_train_but_missing_elsewhere(strategy):
+    # 200-row cohort: column 0 is complete in the 160 train rows and missing in
+    # 20 of the 40 test rows; MICE has no regression for it, so it must take the
+    # population mean like population_mean does, never keep the masked 0.0.
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((200, 3)) + 5.0
+    g = (rng.random(200) < 0.4).astype(int)
+    y = (rng.random(200) < 0.5).astype(int)
+    observed = np.ones((200, 3), dtype=bool)
+    observed[:160, 2] = rng.random(160) >= 0.3
+    observed[160:180, 0] = False
+    train = MaskedCohort(Cohort(X[:160], g[:160], y[:160]), ObservationMask(observed[:160]))
+    test = MaskedCohort(Cohort(X[160:], g[160:], y[160:]), ObservationMask(observed[160:]))
+    spec = impute.ImputerSpec(strategy, mice_draws=3, mice_iterations=3)
+    mean = impute.transform(impute.fit(train, impute.ImputerSpec("population_mean")), test)
+    result = impute.transform(impute.fit(train, spec), test)
+    hidden = ~test.mask.observed[:, 0]
+    assert hidden.sum() == 20
+    for m in result.completed:
+        assert np.array_equal(m[hidden, 0], mean.completed[0][hidden, 0])
+        assert np.isfinite(m).all()
+
+
 def test_schema_mismatch_rejected():
     fitted = impute.fit(_masked(), impute.ImputerSpec("population_mean"))
     rng = np.random.default_rng(0)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from missfair import predict
-from missfair.data_model import ConfigurationError, ImputationResult
+from missfair import harness, impute, predict
+from missfair.data_model import ConfigurationError, ImputationResult, SplitSpec, split
 from missfair.metrics import _auc_core
+from missfair.missingness import apply_scenario
 from missfair.predict import LogisticSpec, _penalised_loss, _sigmoid
+from missfair.synthgen import generate
 
 
 def _data(n=600, seed=0, p=3):
@@ -148,3 +150,135 @@ def test_perfectly_separable_data_converges():
     model = predict.train(ImputationResult((X,)), y, LogisticSpec(fixed_penalty=1.0))
     scores = predict.predict(model, ImputationResult((X,)))
     assert _auc_core(scores, y) == 1.0
+
+
+def _perturbed_draws(n, draws, seed):
+    """MICE-like draws: one base matrix, each draw redrawing ~1% of its rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 3))
+    y = (rng.random(n) < _sigmoid(1.2 * X[:, 0] - 0.8 * X[:, 1] + 0.3)).astype(float)
+    out = []
+    for _ in range(draws):
+        Xd = X.copy()
+        rows = rng.random(n) < 0.01
+        Xd[rows, 1] = rng.standard_normal(rows.sum())
+        out.append(Xd)
+    return out, y
+
+
+def test_warm_and_cold_fits_agree():
+    (X1, X2), y = _perturbed_draws(5000, 2, seed=10)
+    spec = LogisticSpec()
+    first = predict._fit_draw(X1, y, 1.0, spec, 3)
+    cold = predict._fit_draw(X2, y, 1.0, spec, 3)
+    warm = predict._fit_draw(X2, y, 1.0, spec, 3, start=first)
+    assert np.max(np.abs(warm.weights - cold.weights)) < 1e-9
+    assert abs(warm.intercept - cold.intercept) < 1e-9
+    result = ImputationResult((X2,))
+    cold_scores = predict._score_draws((cold,), result)
+    warm_scores = predict._score_draws((warm,), result)
+    assert np.array_equal(np.argsort(cold_scores, kind="stable"),
+                          np.argsort(warm_scores, kind="stable"))
+
+
+@pytest.mark.parametrize("size", [1e-9, 1e-7, 1e-5])
+def test_start_next_to_the_optimum_converges_despite_rounding_noise(size):
+    # The loss here is about 3e4, where one ulp (3.6e-12) exceeds an absolute
+    # 1e-12 allowance: such a line search rejects steps whose only "increase"
+    # is rounding noise, and stalls above the gradient tolerance.
+    (X,), y = _perturbed_draws(60000, 1, seed=11)
+    optimum = predict._fit_draw(X, y, 1.0, LogisticSpec(), 3)
+    for direction in range(3):
+        offset = size * np.random.default_rng(direction).standard_normal(4)
+        start = predict.DrawModel(
+            weights=optimum.weights + offset[1:], intercept=optimum.intercept + offset[0],
+            feature_means=optimum.feature_means, feature_stds=optimum.feature_stds)
+        refit = predict._fit_draw(X, y, 1.0, LogisticSpec(max_iterations=5), 3, start=start)
+        assert np.max(np.abs(refit.weights - optimum.weights)) < 1e-9
+
+
+def test_warm_start_is_carried_through_raw_feature_space():
+    # Two samples of one raw-space model whose covariate moments differ wildly:
+    # x ~ N(0, 1) against u = 8 * x' + 3. Mapped through raw space, the fit on u
+    # starts the fit on x closer to its optimum than zero does, and closer than
+    # reusing its standardised coefficients unchanged.
+    rng = np.random.default_rng(13)
+    n = 4000
+    x = rng.standard_normal((n, 1))
+    u = 8.0 * rng.standard_normal((n, 1)) + 3.0
+    logit = lambda v: 0.4 * v[:, 0] - 1.0
+    y_x = (rng.random(n) < _sigmoid(logit(x))).astype(float)
+    y_u = (rng.random(n) < _sigmoid(logit(u))).astype(float)
+    spec = LogisticSpec(fixed_penalty=1.0)
+    start = predict._fit_draw(u, y_u, 1.0, spec, 1)
+    means, stds = predict._standardisation(x, 1)
+    design = np.hstack([np.ones((n, 1)), (x - means) / stds])
+    ridge = np.array([0.0, 1.0])
+    warm = predict._warm_start(start, means, stds)
+    same_coordinates = np.concatenate(([start.intercept], start.weights))
+    zero_loss = _penalised_loss(design, y_x, np.zeros(2), ridge)
+    assert _penalised_loss(design, y_x, warm, ridge) < 0.9 * zero_loss
+    assert _penalised_loss(design, y_x, warm, ridge) < \
+        _penalised_loss(design, y_x, same_coordinates, ridge)
+    cold = predict._fit_draw(x, y_x, 1.0, spec, 1)
+    refit = predict._fit_draw(x, y_x, 1.0, spec, 1, start=start)
+    assert np.max(np.abs(refit.weights - cold.weights)) < 1e-9
+
+
+def _mice_train_cell():
+    """The train partition of a 20,200-row S1 cohort, completed by 10 MICE draws."""
+    config = harness.load_config(
+        overrides={"population": {"n_majority": 20000, "n_marginalised": 200}})
+    cohort = generate(harness._population_spec(config, 1))
+    mask = apply_scenario(cohort, harness._scenario_spec("S1", 1, 2))
+    train = split(cohort, mask, SplitSpec(0.8, 0.0, 0.2, 3))[0]
+    fitted = impute.fit(train, impute.ImputerSpec("mice", seed=4))
+    return impute.transform(fitted, train), train.outcome
+
+
+def test_warm_started_cell_needs_far_fewer_loss_evaluations(monkeypatch):
+    result, y = _mice_train_cell()
+    assert result.n_draws == 10
+    spec = LogisticSpec(fixed_penalty=1.0)
+    calls = []
+    loss_and_mu, fit_draw = predict._loss_and_mu, predict._fit_draw
+    monkeypatch.setattr(predict, "_loss_and_mu",
+                        lambda *a: calls.append(1) or loss_and_mu(*a))
+    warm = predict.train(result, y, spec)
+    n_warm = len(calls)
+    # every draw from zero, as each draw was fitted before warm starts
+    monkeypatch.setattr(predict, "_fit_draw",
+                        lambda X, y, penalty, spec, n_raw, start=None:
+                        fit_draw(X, y, penalty, spec, n_raw))
+    cold = predict.train(result, y, spec)
+    assert n_warm <= 0.6 * (len(calls) - n_warm)
+    for a, b in zip(warm.draws, cold.draws):
+        assert np.max(np.abs(a.weights - b.weights)) < 1e-9
+
+
+def test_penalty_path_matches_cold_fits():
+    train_result, train_y = _data(n=3000, seed=15)
+    tune_result, tune_y = _data(n=1000, seed=16)
+    spec = LogisticSpec()
+    model = predict.train(train_result, train_y, spec,
+                          tune_result=tune_result, tune_outcome=tune_y)
+    X = train_result.features(0)
+    cold = predict._fit_draw(X, np.asarray(train_y, float), model.penalty, spec, 3)
+    assert np.max(np.abs(model.draws[0].weights - cold.weights)) < 1e-9
+
+
+def test_fused_loss_matches_the_logaddexp_form():
+    rng = np.random.default_rng(17)
+    n = 2000
+    design = np.hstack([np.ones((n, 1)), 30.0 * rng.standard_normal((n, 3))])
+    y = (rng.random(n) < 0.4).astype(float)
+    ridge = np.array([0.0, 0.5, 0.5, 0.5])
+    for scale in (1e-3, 1.0, 40.0):
+        beta = scale * rng.standard_normal(4)
+        eta = design @ beta
+        expected = np.sum(np.logaddexp(0.0, eta) - y * eta) + 0.5 * np.sum(ridge * beta * beta)
+        loss = _penalised_loss(design, y, beta, ridge)
+        assert type(loss) is float
+        assert abs(loss - expected) <= 1e-12 * abs(expected)
+        _, mu = predict._loss_and_mu(design, y, beta, ridge)
+        assert mu.tobytes() == _sigmoid(eta).tobytes()
