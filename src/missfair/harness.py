@@ -13,13 +13,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
 
 from . import impute, linalg_stat, metrics, predict, theory
 from .data_model import Cohort, ConfigurationError, ObservationMask, SplitSpec, split
-from .missingness import ScenarioSpec, apply_scenario
+from .missingness import ScenarioSpec, apply_scenario, rho_feasible_bound
 from .synthgen import ClusterSpec, PopulationSpec, generate
 
 DEFAULT_CONFIG = {
@@ -86,6 +87,7 @@ def load_config(path=None, overrides=None):
         config = _merge(config, loaded)
     config = _merge(config, {k: v for k, v in (overrides or {}).items() if v is not None})
     _check_numbers(config)
+    _check_specs(config)
     return copy.deepcopy(config)    # editing a run's config must not touch the defaults
 
 
@@ -125,6 +127,34 @@ def _check_numbers(config):
                 f"{key.removesuffix('[]')} must be {requirement}, got {value!r}")
 
 
+def _check_specs(config):
+    """Build every spec a run builds, so a bad section fails here and names its key."""
+    builds = {f"population.{name}": partial(_cluster_spec, config["population"][name])
+              for name in _CLUSTERS}
+    builds["population"] = partial(_population_spec, config, 0)
+    builds["model"] = partial(_logistic_spec, config)
+    for section in ("scenarios", "imputers"):
+        if not isinstance(config[section], list):
+            raise ConfigurationError(f"{section} must be a list, got {config[section]!r}")
+    builds.update({f"scenarios[{i}]": partial(_scenario_spec, entry, config["target_covariate"], 0)
+                   for i, entry in enumerate(config["scenarios"])})
+    builds.update({f"imputers[{i}]": partial(_imputer_spec, entry, 0)
+                   for i, entry in enumerate(config["imputers"])})
+    for key, build in builds.items():
+        try:
+            build()
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ConfigurationError(
+                f"{key} must be a usable entry ({type(exc).__name__}: {exc})") from exc
+
+
+_CLUSTERS = ("negative_cluster", "positive_majority_cluster", "positive_marginalised_cluster")
+
+
+def _cluster_spec(entry):
+    return ClusterSpec(tuple(entry["mean"]), float(entry["variance"]))
+
+
 def _population_spec(config, seed):
     p = config["population"]
     return PopulationSpec(
@@ -132,14 +162,7 @@ def _population_spec(config, seed):
         n_marginalised=int(p["n_marginalised"]),
         prevalence_majority=float(p["prevalence_majority"]),
         prevalence_marginalised=float(p["prevalence_marginalised"]),
-        negative_cluster=ClusterSpec(tuple(p["negative_cluster"]["mean"]),
-                                     float(p["negative_cluster"]["variance"])),
-        positive_majority_cluster=ClusterSpec(
-            tuple(p["positive_majority_cluster"]["mean"]),
-            float(p["positive_majority_cluster"]["variance"])),
-        positive_marginalised_cluster=ClusterSpec(
-            tuple(p["positive_marginalised_cluster"]["mean"]),
-            float(p["positive_marginalised_cluster"]["variance"])),
+        **{name: _cluster_spec(p[name]) for name in _CLUSTERS},
         correlate_x2_with_x1=bool(p["correlate_x2_with_x1"]),
         seed=seed,
     )
@@ -449,7 +472,7 @@ def run_csv_audit(config):
                                   "config": _manifest_config(config)})
 
 
-def region_base_inputs(config):
+def _region_base_inputs(config):
     r = config["region"]
     sigma = float(r["sigma"])
     return theory.TheoremInputs(
@@ -465,19 +488,12 @@ def run_region_scan(config):
     """Closed-form gap map over the (rho_g, rho_ng) grid from the configuration."""
     r = config["region"]
     grid = np.linspace(float(r["rho_min"]), float(r["rho_max"]), int(r["steps"]))
-    cells = theory.region_scan(region_base_inputs(config), grid, grid)
-    rows = tuple({
-        "rho_g": c.rho_g, "rho_ng": c.rho_ng,
-        "delta_pop": c.delta_pop, "delta_group": c.delta_group, "diff": c.diff,
-        "theorem3": int(c.theorem3), "dotted": int(c.dotted), "feasible": int(c.feasible),
-    } for c in cells)
-    manifest = {"mode": "region-scan", "config": _manifest_config(config)}
-    return Report(rows, manifest)
+    return Report(theory.region_scan(_region_base_inputs(config), grid, grid),
+                  {"mode": "region-scan", "config": _manifest_config(config)})
 
 
 def sample_feasible_inputs(rng):
     """One random TheoremInputs comfortably inside the latent-threshold bounds."""
-    from .missingness import rho_feasible_bound
     alpha_g = float(rng.uniform(0.2, 0.85))
     alpha_ng = float(rng.uniform(0.2, 0.85))
     rho_g = float(rng.uniform(-0.8, 0.8) * rho_feasible_bound(alpha_g))

@@ -1,4 +1,4 @@
-"""Small numeric kernel: ridge-regularised least squares and normal-distribution helpers."""
+"""Small numeric kernel: least squares and normal-distribution helpers."""
 
 import math
 
@@ -9,8 +9,8 @@ class SingularSystemError(ValueError):
     """Raised when a normal-equation system stays singular after jitter escalation."""
 
 
-def ols_solve(design, target, ridge=0.0):
-    """Solve (X'X + ridge*I) w = X'y by Cholesky with diagonal-jitter fallback.
+def ols_solve(design, target):
+    """Solve X'X w = X'y by Cholesky with diagonal-jitter fallback.
 
     Returns (coefficients, residual_std). residual_std uses a degrees-of-freedom
     correction (n - p); it is 0.0 when the fit is exact or dof <= 0.
@@ -19,13 +19,11 @@ def ols_solve(design, target, ridge=0.0):
     y = np.asarray(target, dtype=float)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in regression inputs")
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
     n, p = X.shape
-    if n < p and ridge == 0:
-        raise ValueError(f"under-determined system ({n} rows, {p} columns) needs ridge > 0")
+    if n < p:
+        raise ValueError(f"under-determined system ({n} rows, {p} columns)")
 
-    A = X.T @ X + ridge * np.eye(p)
+    A = X.T @ X
     b = X.T @ y
     # MICE designs can be collinear after constant-fill initialisation; escalate
     # a tiny diagonal jitter instead of failing outright.

@@ -89,8 +89,6 @@ def auc(scores, outcomes, group):
 
 @dataclass(frozen=True)
 class ThresholdMetrics:
-    capacity: float
-    n_prioritised: int
     fnr: GroupMetric
     prioritisation_rate: GroupMetric
 
@@ -124,8 +122,6 @@ def threshold_metrics(scores, outcomes, group, capacity):
     everyone = np.ones(n, dtype=bool)
     maj, marg = group == 0, group == 1
     return ThresholdMetrics(
-        capacity=capacity,
-        n_prioritised=k,
         fnr=GroupMetric(_fnr(everyone), _fnr(maj), _fnr(marg)),
         prioritisation_rate=GroupMetric(_rate(everyone), _rate(maj), _rate(marg)),
     )

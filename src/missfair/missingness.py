@@ -43,21 +43,29 @@ class CalibratedMechanismSpec:
     def __post_init__(self):
         if len(self.alpha) != 2 or len(self.rho) != 2:
             raise ConfigurationError("alpha and rho need one entry per group")
-        for a in self.alpha:
+        for a, r in zip(self.alpha, self.rho):
             if not 0.0 < a < 1.0:
                 raise ConfigurationError("alpha must lie strictly in (0, 1)")
-        for a, r in zip(self.alpha, self.rho):
-            bound = rho_feasible_bound(a)
-            if abs(r) > bound:
-                raise InfeasibleCorrelationError(
-                    f"rho={r} infeasible at alpha={a}: latent-threshold bound is "
-                    f"|rho| <= {bound:.6f}")
+            latent_threshold(a, r)
 
 
 def rho_feasible_bound(alpha):
     """Largest |Corr(O, X)| a Gaussian latent threshold at rate alpha can produce."""
     z = normal_cdf_inv(alpha)
     return normal_pdf(z) / math.sqrt(alpha * (1.0 - alpha))
+
+
+def latent_threshold(alpha, rho):
+    """(z_alpha, r) of the Gaussian latent threshold O = 1[Z <= z_alpha], Corr(Z, X_std) = r,
+    that realises observation rate alpha and Corr(O, X) = rho by the bivariate-normal
+    point-biserial identity. Raises InfeasibleCorrelationError when |r| > 1."""
+    z_alpha = normal_cdf_inv(alpha)
+    r = -rho * math.sqrt(alpha * (1.0 - alpha)) / normal_pdf(z_alpha)
+    if abs(r) > 1.0:
+        raise InfeasibleCorrelationError(
+            f"rho={rho} infeasible at alpha={alpha}: latent-threshold bound is "
+            f"|rho| <= {rho_feasible_bound(alpha):.6f}")
+    return z_alpha, r
 
 
 def apply_scenario(cohort, spec):
@@ -84,10 +92,9 @@ def apply_scenario(cohort, spec):
 
 
 def apply_calibrated(cohort, spec):
-    """Realise target (alpha_g, rho_g) on the target covariate per group.
+    """Realise target (alpha_g, rho_g) on the target covariate per group through
+    the latent threshold of `latent_threshold`.
 
-    Uses the bivariate-normal point-biserial identity: O = 1[Z <= Phi^-1(alpha)]
-    with Corr(Z, X_std) = r = -rho * sqrt(alpha (1 - alpha)) / phi(Phi^-1(alpha)).
     Exact for Gaussian covariates; approximate otherwise.
     """
     j = spec.target_covariate
@@ -96,13 +103,7 @@ def apply_calibrated(cohort, spec):
     observed = np.ones((cohort.n, cohort.d), dtype=bool)
     for g in (0, 1):
         rows = cohort.group == g
-        alpha, rho = spec.alpha[g], spec.rho[g]
-        z_alpha = normal_cdf_inv(alpha)
-        r = -rho * math.sqrt(alpha * (1.0 - alpha)) / normal_pdf(z_alpha)
-        if abs(r) > 1.0:
-            raise InfeasibleCorrelationError(
-                f"rho={rho} infeasible at alpha={alpha}: latent-threshold bound is "
-                f"|rho| <= {rho_feasible_bound(alpha):.6f}")
+        z_alpha, r = latent_threshold(spec.alpha[g], spec.rho[g])
         xg = x[rows]
         sd = xg.std()
         x_std = (xg - xg.mean()) / sd if sd > 0 else np.zeros_like(xg)

@@ -1,8 +1,9 @@
 """Closed-form reconstruction-error evaluators for the two mean-imputation strategies.
 
 Everything here works on population-level quantities: per-group observation rates,
-observation/value correlations, and covariate moments. The Monte Carlo validator
-grounds the closed forms against actual imputation on simulated data.
+observation/value correlations (floats, or numpy arrays evaluated elementwise), and
+covariate moments. The Monte Carlo validator grounds the closed forms against actual
+imputation on simulated data.
 """
 
 import math
@@ -11,9 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_model import Cohort
-from .linalg_stat import normal_cdf, normal_cdf_inv, normal_pdf
-from .missingness import (CalibratedMechanismSpec, InfeasibleCorrelationError,
-                          apply_calibrated, rho_feasible_bound)
+from .linalg_stat import normal_cdf, normal_pdf
+from .missingness import CalibratedMechanismSpec, apply_calibrated, latent_threshold
 
 
 class SingularityError(ValueError):
@@ -26,11 +26,6 @@ class AssumptionError(ValueError):
 
 class InconsistentInputsError(ValueError):
     """Both true and observed means supplied but violating the linking identity."""
-
-
-def _check_rate(alpha, name):
-    if not 0.0 < alpha < 1.0:
-        raise SingularityError(f"{name} must lie strictly in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -58,12 +53,12 @@ class TheoremInputs:
     mu_obs_ng: float = None
 
     def __post_init__(self):
-        _check_rate(self.alpha_g, "alpha_g")
-        _check_rate(self.alpha_ng, "alpha_ng")
-        if not 0.0 < self.r_g < 1.0:
-            raise SingularityError(f"r_g must lie strictly in (0, 1), got {self.r_g}")
+        for rate, name in ((self.alpha_g, "alpha_g"), (self.alpha_ng, "alpha_ng"),
+                           (self.r_g, "r_g")):
+            if not 0.0 < rate < 1.0:
+                raise SingularityError(f"{name} must lie strictly in (0, 1), got {rate}")
         for rho, name in ((self.rho_g, "rho_g"), (self.rho_ng, "rho_ng")):
-            if not -1.0 <= rho <= 1.0:
+            if not np.all(np.abs(rho) <= 1.0):
                 raise ValueError(f"{name} must lie in [-1, 1], got {rho}")
         for sig, name in ((self.sigma_g, "sigma_g"), (self.sigma_ng, "sigma_ng")):
             if not sig > 0:
@@ -80,8 +75,8 @@ class TheoremInputs:
         off_g = self.rho_g * math.sqrt((1 - self.alpha_g) / self.alpha_g) * self.sigma_g
         off_ng = self.rho_ng * math.sqrt((1 - self.alpha_ng) / self.alpha_ng) * self.sigma_ng
         if true_given and obs_given:
-            if abs(self.mu_g + off_g - self.mu_obs_g) > 1e-9 or \
-               abs(self.mu_ng + off_ng - self.mu_obs_ng) > 1e-9:
+            if np.any(np.abs(self.mu_g + off_g - self.mu_obs_g) > 1e-9) or \
+               np.any(np.abs(self.mu_ng + off_ng - self.mu_obs_ng) > 1e-9):
                 raise InconsistentInputsError(
                     "true and observed means violate the observed-mean identity")
         elif true_given:
@@ -91,7 +86,7 @@ class TheoremInputs:
             object.__setattr__(self, "mu_g", self.mu_obs_g - off_g)
             object.__setattr__(self, "mu_ng", self.mu_obs_ng - off_ng)
         for value, name in ((self.mu_obs_g, "mu_obs_g"), (self.mu_obs_ng, "mu_obs_ng")):
-            if not math.isfinite(value):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} is not finite")
 
     @property
@@ -102,17 +97,6 @@ class TheoremInputs:
     def mu_obs_overall(self):
         return (self.alpha_g * self.r_g * self.mu_obs_g
                 + self.alpha_ng * (1.0 - self.r_g) * self.mu_obs_ng) / self.alpha_overall
-
-    def swapped(self):
-        """The same population seen from the other group's perspective."""
-        return TheoremInputs(
-            alpha_g=self.alpha_ng, alpha_ng=self.alpha_g,
-            rho_g=self.rho_ng, rho_ng=self.rho_g,
-            r_g=1.0 - self.r_g,
-            sigma_g=self.sigma_ng, sigma_ng=self.sigma_g,
-            var_unobs_g=self.var_unobs_ng, var_unobs_ng=self.var_unobs_g,
-            mu_g=self.mu_ng, mu_ng=self.mu_g,
-        )
 
 
 def group_bias(inputs, marginalised=True):
@@ -137,18 +121,6 @@ def population_bias_expanded(inputs):
     return group_bias(inputs) + weight * gamma
 
 
-def unobserved_mean(inputs, marginalised=True):
-    mu_obs = inputs.mu_obs_g if marginalised else inputs.mu_obs_ng
-    return mu_obs + group_bias(inputs, marginalised)
-
-
-def constant_imputation_error(inputs, constant, marginalised=True):
-    """Error of imputing a group's missing values with any constant c:
-    (E[X | not O, G] - c)^2 + Var(X | not O, G)."""
-    var_unobs = inputs.var_unobs_g if marginalised else inputs.var_unobs_ng
-    return (unobserved_mean(inputs, marginalised) - constant) ** 2 + var_unobs
-
-
 def reconstruction_closed_form(inputs, marginalised=True):
     """(L_group, L_pop) for one group under group-mean and population-mean imputation."""
     B = group_bias(inputs, marginalised)
@@ -170,7 +142,7 @@ def theorem2_predicate(inputs):
     """True iff group-mean imputation is strictly worse for group g than population mean."""
     ratio = (inputs.mu_obs_g - inputs.mu_obs_overall) / (2.0 * inputs.sigma_g)
     scaled_rho = inputs.rho_g / math.sqrt(inputs.alpha_g * (1.0 - inputs.alpha_g))
-    return (scaled_rho < ratio < 0.0) or (0.0 < ratio < scaled_rho)
+    return ((scaled_rho < ratio) & (ratio < 0.0)) | ((0.0 < ratio) & (ratio < scaled_rho))
 
 
 def _f(alpha, r, alpha_other):
@@ -194,7 +166,7 @@ def theorem3_predicate(inputs):
     i.e. delta_group > delta_pop > 0, under the stated hypotheses."""
     if abs(inputs.var_unobs_g - inputs.var_unobs_ng) > 1e-12:
         raise AssumptionError("theorem requires equal unobserved variances across groups")
-    if not inputs.mu_obs_g > inputs.mu_obs_overall:
+    if not np.all(inputs.mu_obs_g > inputs.mu_obs_overall):
         raise AssumptionError("theorem requires mu_g^O > mu^O")
 
     a_g, a_ng, r_g = inputs.alpha_g, inputs.alpha_ng, inputs.r_g
@@ -206,59 +178,41 @@ def theorem3_predicate(inputs):
     f_ok = sg_rho * _f(a_g, r_g, a_ng) + sng_rho * _f(a_ng, 1.0 - r_g, a_g) > rhs
     e_lhs = sg_rho * _e(a_g) - sng_rho * _e(a_ng)
     h_lhs = sg_rho * _h(a_g, r_g, a_ng) + sng_rho * _h(a_ng, 1.0 - r_g, a_g)
-    return f_ok and ((e_lhs > mu_diff and h_lhs > rhs) or (e_lhs < mu_diff and h_lhs < rhs))
-
-
-@dataclass(frozen=True)
-class RegionCell:
-    rho_g: float
-    rho_ng: float
-    delta_pop: float
-    delta_group: float
-    diff: float                 # delta_pop - delta_group
-    theorem3: bool
-    dotted: bool                # |delta_pop| < |delta_group|
-    feasible: bool
+    return f_ok & (((e_lhs > mu_diff) & (h_lhs > rhs)) | ((e_lhs < mu_diff) & (h_lhs < rhs)))
 
 
 def region_scan(base, rho_g_values, rho_ng_values):
-    """Evaluate the gap difference over a (rho_g, rho_ng) grid around base inputs.
+    """Report rows of the gap difference over a (rho_g, rho_ng) grid around base inputs.
 
-    Infeasible or assumption-violating cells are flagged rather than raised.
+    The observed means stay at the base's. rho_g varies fastest. A cell with
+    |rho| > 1 is infeasible: nan gaps and 0 flags. theorem3 is 0 everywhere when
+    its hypotheses fail, which does not depend on rho.
     """
-    cells = []
-    for rho_ng in rho_ng_values:
-        for rho_g in rho_g_values:
-            try:
-                inputs = replace(base, rho_g=float(rho_g), rho_ng=float(rho_ng),
-                                 mu_g=None, mu_ng=None)
-            except ValueError:
-                cells.append(RegionCell(float(rho_g), float(rho_ng), math.nan, math.nan,
-                                        math.nan, False, False, False))
-                continue
-            delta_group, delta_pop = gaps(inputs)
-            try:
-                t3 = theorem3_predicate(inputs)
-            except AssumptionError:
-                t3 = False
-            cells.append(RegionCell(
-                rho_g=float(rho_g), rho_ng=float(rho_ng),
-                delta_pop=delta_pop, delta_group=delta_group,
-                diff=delta_pop - delta_group,
-                theorem3=t3,
-                dotted=abs(delta_pop) < abs(delta_group),
-                feasible=True,
-            ))
-    return cells
+    rho_ng, rho_g = (axis.ravel() for axis in np.meshgrid(
+        np.asarray(rho_ng_values, dtype=float), np.asarray(rho_g_values, dtype=float),
+        indexing="ij"))
+    feasible = (np.abs(rho_g) <= 1.0) & (np.abs(rho_ng) <= 1.0)
+    inputs = replace(base, rho_g=np.where(feasible, rho_g, 0.0),
+                     rho_ng=np.where(feasible, rho_ng, 0.0), mu_g=None, mu_ng=None)
+    delta_group, delta_pop = (np.where(feasible, gap, math.nan) for gap in gaps(inputs))
+    try:
+        theorem3 = theorem3_predicate(inputs) & feasible
+    except AssumptionError:
+        theorem3 = np.zeros_like(feasible)
+    columns = {
+        "rho_g": rho_g, "rho_ng": rho_ng,
+        "delta_pop": delta_pop, "delta_group": delta_group, "diff": delta_pop - delta_group,
+        "theorem3": theorem3.astype(int),
+        "dotted": (np.abs(delta_pop) < np.abs(delta_group)).astype(int),
+        "feasible": feasible.astype(int),
+    }
+    return tuple(dict(zip(columns, row))
+                 for row in zip(*(column.tolist() for column in columns.values())))
 
 
 def latent_threshold_unobserved_variance(alpha, rho, sigma):
     """Var(X | not O) implied by the calibrated latent-threshold mechanism."""
-    z = normal_cdf_inv(alpha)
-    r = -rho * math.sqrt(alpha * (1.0 - alpha)) / normal_pdf(z)
-    if abs(r) > 1.0:
-        raise InfeasibleCorrelationError(
-            f"rho={rho} infeasible at alpha={alpha}: bound is {rho_feasible_bound(alpha):.6f}")
+    z, r = latent_threshold(alpha, rho)
     # Z | Z > z is the unobserved side; its variance is 1 - hazard * (hazard - z).
     hazard = normal_pdf(z) / (1.0 - normal_cdf(z))
     delta = hazard * (hazard - z)

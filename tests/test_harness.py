@@ -71,6 +71,13 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("population: {n_majority: abc}", "population.n_majority"),   # bare ValueError from int()
     ("split: {train: abc}", "split.train"),                # bare ValueError from float()
     ("region: {sigma: abc}", "region.sigma"),              # bare ValueError from float()
+    # Spec-building sections raised a bare ValueError only once simulate had started.
+    ("scenarios: [{scenario: S1, mask_probability: high}]", "scenarios[0]"),
+    ("imputers: [{strategy: mice, mice_draws: abc}]", "imputers[0]"),
+    ("population: {negative_cluster: {mean: [0, 0], variance: abc}}",
+     "population.negative_cluster"),
+    ("scenarios: [S4]", "scenarios[0]"),
+    ("imputers: [{strategy: bogus}]", "imputers[0]"),
 ])
 def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     path = tmp_path / "run.yaml"

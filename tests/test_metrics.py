@@ -155,7 +155,7 @@ def test_threshold_selection_and_fnr_handcrafted():
     outcomes = np.array([1, 0, 1, 1, 0, 1])
     group = np.array([0, 0, 0, 1, 1, 1])
     tm = threshold_metrics(scores, outcomes, group, capacity=0.5)
-    assert tm.n_prioritised == 3
+    assert tm.prioritisation_rate.overall == 0.5
     assert tm.fnr.majority == pytest.approx(0.0)          # both majority positives kept
     assert tm.fnr.marginalised == pytest.approx(1.0)      # both marginalised positives dropped
     assert tm.fnr.gap == pytest.approx(1.0)

@@ -76,16 +76,23 @@ def test_closed_forms_match_frozen_oracle():
     dg, dp = theory.gaps(t)
     assert dg == pytest.approx(ORACLE["delta_group"], abs=1e-9)
     assert dp == pytest.approx(ORACLE["delta_pop"], abs=1e-9)
-    assert theory.unobserved_mean(t) == pytest.approx(ORACLE["mu_unobs_g"], abs=1e-9)
+    mu_unobs_g = t.mu_obs_g + theory.group_bias(t)
+    assert mu_unobs_g == pytest.approx(ORACLE["mu_unobs_g"], abs=1e-9)
 
 
 def test_constant_imputation_interpolates_both_strategies():
+    # Imputing group g's missing values with a constant c costs
+    # (E[X | not O, g] - c)^2 + Var(X | not O, g); both strategies are such a c.
     t = _inputs()
+    mu_unobs = t.mu_obs_g + theory.group_bias(t)
+
+    def error(c):
+        return (mu_unobs - c) ** 2 + t.var_unobs_g
+
     lg, lp = theory.reconstruction_closed_form(t, marginalised=True)
-    assert theory.constant_imputation_error(t, t.mu_obs_g) == pytest.approx(lg, abs=1e-12)
-    assert theory.constant_imputation_error(t, t.mu_obs_overall) == pytest.approx(lp, abs=1e-12)
-    best = theory.unobserved_mean(t)
-    assert theory.constant_imputation_error(t, best) == pytest.approx(t.var_unobs_g, abs=1e-12)
+    assert error(t.mu_obs_g) == pytest.approx(lg, abs=1e-12)
+    assert error(t.mu_obs_overall) == pytest.approx(lp, abs=1e-12)
+    assert error(mu_unobs) == pytest.approx(t.var_unobs_g, abs=1e-12)
 
 
 def _random_inputs(rng):
@@ -141,8 +148,13 @@ def test_theorem3_assumption_violations_raise():
 
 
 def test_swapped_preserves_population_quantities():
+    # The same population seen from the other group's perspective.
     t = _inputs()
-    s = t.swapped()
+    s = TheoremInputs(
+        alpha_g=t.alpha_ng, alpha_ng=t.alpha_g, rho_g=t.rho_ng, rho_ng=t.rho_g,
+        r_g=1.0 - t.r_g, sigma_g=t.sigma_ng, sigma_ng=t.sigma_g,
+        var_unobs_g=t.var_unobs_ng, var_unobs_ng=t.var_unobs_g,
+        mu_g=t.mu_ng, mu_ng=t.mu_g)
     assert s.alpha_overall == pytest.approx(t.alpha_overall, abs=1e-12)
     assert s.mu_obs_overall == pytest.approx(t.mu_obs_overall, abs=1e-12)
     dg, dp = theory.gaps(t)
@@ -167,11 +179,11 @@ def test_region_scan_shape_and_flags():
     grid = np.linspace(-0.3, 0.3, 11)
     cells = theory.region_scan(base, grid, grid)
     assert len(cells) == 121
-    feasible = [c for c in cells if c.feasible]
+    feasible = [c for c in cells if c["feasible"]]
     assert feasible
     for c in feasible[:20]:
-        assert c.diff == pytest.approx(c.delta_pop - c.delta_group, abs=1e-12)
-        assert c.dotted == (abs(c.delta_pop) < abs(c.delta_group))
+        assert c["diff"] == pytest.approx(c["delta_pop"] - c["delta_group"], abs=1e-12)
+        assert c["dotted"] == (abs(c["delta_pop"]) < abs(c["delta_group"]))
 
 
 def test_region_scan_holds_observed_means_fixed():
@@ -182,7 +194,44 @@ def test_region_scan_holds_observed_means_fixed():
     # observed-side quantities stay pinned to the base configuration.
     dg0, _ = theory.gaps(theory.replace(base, rho_g=0.1, rho_ng=0.2,
                                         mu_g=None, mu_ng=None))
-    assert cells[0].delta_group == pytest.approx(dg0, abs=1e-12)
+    assert cells[0]["delta_group"] == pytest.approx(dg0, abs=1e-12)
+
+
+def _scalar_region_cell(base, rho_g, rho_ng):
+    """One region cell from scalar TheoremInputs: (feasible, delta_group, delta_pop, theorem3)."""
+    try:
+        t = theory.replace(base, rho_g=rho_g, rho_ng=rho_ng, mu_g=None, mu_ng=None)
+    except ValueError:
+        return 0, math.nan, math.nan, 0
+    delta_group, delta_pop = theory.gaps(t)
+    try:
+        t3 = int(theory.theorem3_predicate(t))
+    except AssumptionError:
+        t3 = 0
+    return 1, delta_group, delta_pop, t3
+
+
+@pytest.mark.parametrize("mu_obs_g", [0.5, -0.5])   # -0.5 puts mu_obs_g below mu_obs_overall
+def test_region_scan_matches_scalar_evaluation(mu_obs_g):
+    base = _inputs(mu_g=None, mu_ng=None, mu_obs_g=mu_obs_g, mu_obs_ng=0.0,
+                   rho_g=0.0, rho_ng=0.0)
+    rho_g_values = np.linspace(-1.2, 1.2, 13)           # includes |rho| > 1 cells
+    rho_ng_values = np.linspace(-1.1, 0.9, 11)
+    cells = theory.region_scan(base, rho_g_values, rho_ng_values)
+    expected = [(float(rg), float(rng)) for rng in rho_ng_values for rg in rho_g_values]
+    assert [(c["rho_g"], c["rho_ng"]) for c in cells] == expected
+    assert {c["feasible"] for c in cells} == {0, 1}
+    if mu_obs_g < base.mu_obs_overall:
+        assert all(c["theorem3"] == 0 for c in cells)
+    else:
+        assert any(c["theorem3"] for c in cells)
+    for c, (rg, rng) in zip(cells, expected):
+        feasible, delta_group, delta_pop, t3 = _scalar_region_cell(base, rg, rng)
+        assert (c["feasible"], c["theorem3"]) == (feasible, t3)
+        assert c["dotted"] == int(abs(delta_pop) < abs(delta_group))
+        for key, value in (("delta_group", delta_group), ("delta_pop", delta_pop),
+                           ("diff", delta_pop - delta_group)):
+            assert c[key] == pytest.approx(value, abs=1e-12, nan_ok=True)
 
 
 def test_monte_carlo_validation_close_at_moderate_size():
