@@ -70,6 +70,9 @@ def _merge(base, override):
         if key not in base:
             raise ConfigurationError(f"unknown configuration key: {key}")
         if isinstance(base[key], dict) and isinstance(value, dict):
+            unknown = sorted(value.keys() - base[key].keys())
+            if unknown:
+                raise ConfigurationError(f"unknown configuration key: {key}.{unknown[0]}")
             out[key] = {**base[key], **value}
         else:
             out[key] = value
@@ -151,7 +154,22 @@ def _check_specs(config):
 _CLUSTERS = ("negative_cluster", "positive_majority_cluster", "positive_marginalised_cluster")
 
 
+def _known_keys(entry, keys):
+    """Reject a misspelled key in a spec entry, which would silently run its default."""
+    unknown = sorted(entry.keys() - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+
+
+def _integer(entry, key, default):
+    value = entry.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _cluster_spec(entry):
+    _known_keys(entry, ("mean", "variance"))
     return ClusterSpec(tuple(entry["mean"]), float(entry["variance"]))
 
 
@@ -171,10 +189,12 @@ def _population_spec(config, seed):
 def _scenario_spec(entry, target, seed):
     if isinstance(entry, str):
         entry = {"scenario": entry}
+    _known_keys(entry, ("scenario", "target_covariate", "trigger_covariate", "threshold",
+                        "mask_probability"))
     return ScenarioSpec(
         scenario=entry["scenario"],
-        target_covariate=int(entry.get("target_covariate", target)),
-        trigger_covariate=int(entry.get("trigger_covariate", 0)),
+        target_covariate=_integer(entry, "target_covariate", target),
+        trigger_covariate=_integer(entry, "trigger_covariate", 0),
         threshold=float(entry.get("threshold", 0.5)),
         mask_probability=float(entry.get("mask_probability", 0.5)),
         seed=seed,
@@ -182,11 +202,15 @@ def _scenario_spec(entry, target, seed):
 
 
 def _imputer_spec(entry, seed):
+    _known_keys(entry, ("strategy", "append_indicators", "mice_iterations", "mice_draws"))
+    indicators = entry.get("append_indicators", False)
+    if not isinstance(indicators, bool):
+        raise TypeError(f"append_indicators must be true or false, got {indicators!r}")
     return impute.ImputerSpec(
         strategy=entry["strategy"],
-        append_indicators=bool(entry.get("append_indicators", False)),
-        mice_iterations=int(entry.get("mice_iterations", 10)),
-        mice_draws=int(entry.get("mice_draws", 10)),
+        append_indicators=indicators,
+        mice_iterations=_integer(entry, "mice_iterations", 10),
+        mice_draws=_integer(entry, "mice_draws", 10),
         seed=seed,
     )
 
@@ -285,10 +309,10 @@ class Report:
         report_path = os.path.join(output_dir, "report.csv")
         if self.rows:
             with open(report_path, "w", newline="") as handle:
-                writer = csv.DictWriter(handle, fieldnames=list(self.rows[0].keys()))
-                writer.writeheader()
-                for row in self.rows:
-                    writer.writerow({k: _format(v) for k, v in row.items()})
+                fields = list(self.rows[0])
+                writer = csv.writer(handle)
+                writer.writerow(fields)
+                writer.writerows([_format(row[k]) for k in fields] for row in self.rows)
         with open(os.path.join(output_dir, "manifest.json"), "w") as handle:
             json.dump(self.manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -174,11 +174,17 @@ def _run_chain(fitted, data, regressions, rng):
     # fallback columns and columns complete in train have no regression: they take the mean
     for j, rows in missing.items():
         X[rows, j] = fitted.medians[j] if j in by_column else fitted.population_means[j]
+    drawn = [(j, rows, by_column[j]) for j, rows in missing.items() if j in by_column]
+    if len(drawn) == 1:
+        # one drawn column: its predictors never change, so each iteration redraws
+        # around the same prediction and only the last iteration's draw is kept
+        (j, rows, reg), = drawn
+        pred = _mice_design(X[rows], j, data.group[rows], spec.uses_group) @ reg.coefficients
+        noise = rng.standard_normal((spec.mice_iterations, rows.size))[-1]
+        X[rows, j] = pred + reg.residual_std * noise
+        return X
     for _ in range(spec.mice_iterations):
-        for j, rows in missing.items():
-            reg = by_column.get(j)
-            if reg is None:
-                continue
+        for j, rows, reg in drawn:
             pred = _mice_design(X[rows], j, data.group[rows], spec.uses_group) @ reg.coefficients
             X[rows, j] = pred + reg.residual_std * rng.standard_normal(pred.size)
     return X

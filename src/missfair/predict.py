@@ -57,13 +57,25 @@ def _sigmoid(t, e=None):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def _standardisation(X, n_raw):
-    means = np.zeros(X.shape[1])
-    stds = np.ones(X.shape[1])
-    means[:n_raw] = X[:, :n_raw].mean(axis=0)
-    raw_stds = X[:, :n_raw].std(axis=0)
+def _design(X, n_raw):
+    """The feature-major design of X, intercept row first, and its moments.
+
+    The first n_raw feature rows are standardised in place; the rest (the
+    missingness indicators) keep their 0/1 scale with mean 0 and std 1.
+    """
+    n, p = X.shape
+    design = np.empty((p + 1, n))
+    design[0] = 1.0
+    design[1:] = X.T
+    raw = design[1:n_raw + 1]
+    means = np.zeros(p)
+    stds = np.ones(p)
+    means[:n_raw] = raw.mean(axis=1)
+    raw_stds = raw.std(axis=1)
     stds[:n_raw] = np.where(raw_stds > 0, raw_stds, 1.0)
-    return means, stds
+    raw -= means[:n_raw, None]
+    raw /= stds[:n_raw, None]
+    return design, means, stds
 
 
 def _warm_start(start, means, stds):
@@ -78,8 +90,11 @@ def _warm_start(start, means, stds):
 
 
 def _loss_and_mu(design, y, beta, ridge):
-    """Penalised loss at beta and the fitted probabilities, from one exp."""
-    eta = design @ beta
+    """Penalised loss at beta and the fitted probabilities, from one exp.
+
+    `design` is feature-major, (p+1, n).
+    """
+    eta = beta @ design
     e = np.exp(-np.abs(eta))
     # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)), computed stably
     loss = np.sum(np.maximum(eta, 0.0) + np.log1p(e) - y * eta)
@@ -87,34 +102,30 @@ def _loss_and_mu(design, y, beta, ridge):
 
 
 def _penalised_loss(design, y, beta, ridge):
-    return _loss_and_mu(design, y, beta, ridge)[0]
+    """Penalised loss for a sample-major (n, p+1) design."""
+    return _loss_and_mu(design.T, y, beta, ridge)[0]
 
 
-def _fit_draw(X, y, penalty, spec, n_raw, start=None):
-    """Newton's method on the ridge-penalised loss in standardised coordinates.
+def _fit_draw(design, y, penalty, spec, start=None):
+    """Newton's method on the ridge-penalised loss over a `_design` array.
 
-    `start` (a DrawModel) is mapped into this draw's standardisation and used
-    when its loss is below that of the zero start.
+    Returns the coefficients, intercept first. `start` (coefficients in this
+    design's coordinates) is used when its loss is below that of the zero start.
     """
-    means, stds = _standardisation(X, n_raw)
-    Z = (X - means) / stds
-    n, p = Z.shape
-    design = np.hstack([np.ones((n, 1)), Z])
-    ridge = np.full(p + 1, penalty)
+    ridge = np.full(design.shape[0], penalty)
     ridge[0] = 0.0                      # intercept first, unpenalised
-    beta = np.zeros(p + 1)
+    beta = np.zeros(design.shape[0])
     loss, mu = _loss_and_mu(design, y, beta, ridge)
     if start is not None:
-        warm = _warm_start(start, means, stds)
-        warm_loss, warm_mu = _loss_and_mu(design, y, warm, ridge)
-        if warm_loss < loss:
-            beta, loss, mu = warm, warm_loss, warm_mu
+        start_loss, start_mu = _loss_and_mu(design, y, start, ridge)
+        if start_loss < loss:
+            beta, loss, mu = start, start_loss, start_mu
     for _ in range(spec.max_iterations):
-        grad = design.T @ (mu - y) + ridge * beta
+        grad = design @ (mu - y) + ridge * beta
         if np.linalg.norm(grad, ord=np.inf) < spec.tolerance:
             break
         w = np.maximum(mu * (1.0 - mu), 1e-10)
-        hess = design.T @ (design * w[:, None]) + np.diag(ridge)
+        hess = (design * w) @ design.T + np.diag(ridge)
         step = np.linalg.solve(hess, grad)
         # halve the step until the penalised loss stops increasing; the allowance
         # is relative, since one ulp of a large loss exceeds any absolute 1e-12
@@ -132,8 +143,7 @@ def _fit_draw(X, y, penalty, spec, n_raw, start=None):
     else:
         raise ConvergenceError(
             f"no convergence in {spec.max_iterations} Newton iterations")
-    return DrawModel(weights=beta[1:], intercept=float(beta[0]),
-                     feature_means=means, feature_stds=stds)
+    return beta
 
 
 def _score_draws(draws, result):
@@ -160,28 +170,31 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     if y.shape[0] != train_result.completed[0].shape[0]:
         raise ConfigurationError("outcome length must match the training rows")
 
-    def _fit_all(penalty, start):
-        # each draw starts from the one before: the draws differ on few rows
-        draws = []
-        for i in range(train_result.n_draws):
-            start = _fit_draw(train_result.features(i), y, penalty, spec, n_raw, start)
-            draws.append(start)
-        return tuple(draws)
+    fixed = spec.fixed_penalty if spec.fixed_penalty is not None else 1.0
+    penalties = [fixed] if tune_result is None else sorted(spec.penalty_grid)
+    fits = [[] for _ in penalties]      # fits[k][i]: draw i at penalties[k]
+    for i in range(train_result.n_draws):
+        design, means, stds = _design(train_result.features(i), n_raw)
+        for k, penalty in enumerate(penalties):
+            # each draw starts from the one before (the draws differ on few rows);
+            # the first draw runs the penalty path, starting from the last penalty
+            start = fits[k][-1] if i else fits[k - 1][0] if k else None
+            beta = _fit_draw(design, y, penalty, spec,
+                             None if start is None else _warm_start(start, means, stds))
+            fits[k].append(DrawModel(weights=beta[1:], intercept=float(beta[0]),
+                                     feature_means=means, feature_stds=stds))
 
     if tune_result is None:
-        penalty = spec.fixed_penalty if spec.fixed_penalty is not None else 1.0
-        draws = _fit_all(penalty, None)
+        penalty, draws = fixed, fits[0]
     else:
         tune_y = np.asarray(tune_outcome)
-        best, draws = None, ()
-        for penalty in sorted(spec.penalty_grid):
-            # the penalty path: the first draw starts from its fit at the last penalty
-            draws = _fit_all(penalty, draws[0] if draws else None)
+        best = None
+        for penalty, draws in zip(penalties, fits):
             score = _auc_core(_score_draws(draws, tune_result), tune_y)
             if best is None or score > best[0] + 1e-12:
                 best = (score, penalty, draws)
         _, penalty, draws = best
-    return FittedModel(draws=draws, penalty=float(penalty),
+    return FittedModel(draws=tuple(draws), penalty=float(penalty),
                        n_raw_features=n_raw, n_features=n_features)
 
 

@@ -78,6 +78,11 @@ def test_load_config_rejects_unknown_keys(tmp_path):
      "population.negative_cluster"),
     ("scenarios: [S4]", "scenarios[0]"),
     ("imputers: [{strategy: bogus}]", "imputers[0]"),
+    # bool("false") is True: the string ran with indicators appended
+    ('imputers: [{strategy: group_mice, append_indicators: "false"}]', "imputers[0]"),
+    # int() truncated these to 2 draws or iterations
+    ("imputers: [{strategy: mice, mice_draws: 2.7}]", "imputers[0]"),
+    ("imputers: [{strategy: mice, mice_iterations: 2.7}]", "imputers[0]"),
 ])
 def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     path = tmp_path / "run.yaml"
@@ -89,6 +94,22 @@ def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
         cli.main(["simulate", "--config", str(path), "--out", str(out)])
     assert "wrote" not in capsys.readouterr().out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key, misspelled", [
+    # each misspelling loaded and silently ran the default
+    ("population: {n_majorty: 5}", "unknown configuration key: population", "n_majorty"),
+    ("split: {tune_frac: 0.1}", "unknown configuration key: split", "tune_frac"),
+    ("scenarios: [{scenario: S1, mask_prob: 0.9}]", "scenarios[0] must be", "mask_prob"),
+    ("imputers: [{strategy: mice, mice_draw: 2}]", "imputers[0] must be", "mice_draw"),
+    ("population: {negative_cluster: {mean: [0, 0], variance: 0.1, varience: 2}}",
+     "population.negative_cluster must be", "varience"),
+])
+def test_load_config_rejects_misspelled_nested_keys(tmp_path, text, key, misspelled):
+    path = tmp_path / "run.yaml"
+    path.write_text(text + "\n")
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)}.*{misspelled}"):
+        harness.load_config(str(path))
 
 
 def test_load_config_accepts_numeric_text_and_defaults(tmp_path):

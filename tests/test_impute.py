@@ -233,3 +233,73 @@ def test_two_incomplete_columns_iterate_every_chain(monkeypatch):
         missing = ~data.mask.observed[:, j]
         assert not np.array_equal(result.completed[0][missing, j],
                                   result.completed[1][missing, j])
+
+
+def _iterated_chain(fitted, data, regressions, rng):
+    """`_run_chain` as written before its one-drawn-column shortcut: every iteration
+    predicts and draws every column that has a regression."""
+    X = data.covariates_masked.copy()
+    spec = fitted.spec
+    by_column = {r.column: r for r in regressions}
+    missing = {j: np.flatnonzero(~data.mask.observed[:, j]) for j in range(fitted.d)}
+    missing = {j: rows for j, rows in missing.items() if rows.size}
+    for j, rows in missing.items():
+        X[rows, j] = fitted.medians[j] if j in by_column else fitted.population_means[j]
+    for _ in range(spec.mice_iterations):
+        for j, rows in missing.items():
+            reg = by_column.get(j)
+            if reg is None:
+                continue
+            pred = impute._mice_design(X[rows], j, data.group[rows], spec.uses_group) \
+                @ reg.coefficients
+            X[rows, j] = pred + reg.residual_std * rng.standard_normal(pred.size)
+    return X
+
+
+def _also_missing_outside_train():
+    """Column 2 incomplete in train; column 0 complete in train, missing in the test rows."""
+    data = _masked(n=300, seed=22)
+    observed = data.mask.observed.copy()
+    observed[240:260, 0] = False
+    full = MaskedCohort(data.cohort, ObservationMask(observed))
+    return full.take(np.arange(240)), full.take(np.arange(240, 300))
+
+
+def _count_designs(monkeypatch):
+    calls = []
+    design = impute._mice_design
+    monkeypatch.setattr(impute, "_mice_design", lambda *a: calls.append(1) or design(*a))
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["mice", "group_mice"])
+@pytest.mark.parametrize("case", ["one_incomplete", "plus_mean_filled_column"])
+def test_one_drawn_column_equals_the_iterated_chain(monkeypatch, strategy, case):
+    if case == "one_incomplete":
+        train = test = _masked()
+    else:
+        train, test = _also_missing_outside_train()
+    fitted = impute.fit(train, impute.ImputerSpec(strategy, mice_draws=3, mice_iterations=4))
+    calls = _count_designs(monkeypatch)
+    for c, regressions in enumerate(fitted.chains):
+        rng, reference_rng = np.random.default_rng(c), np.random.default_rng(c)
+        calls.clear()
+        completed = impute._run_chain(fitted, test, regressions, rng)
+        assert len(calls) == 1                      # one prediction per chain
+        assert completed.tobytes() == \
+            _iterated_chain(fitted, test, regressions, reference_rng).tobytes()
+        # the same stream was consumed: the next draw of both generators agrees
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_two_drawn_columns_take_the_iterated_path(monkeypatch):
+    data = _two_incomplete()
+    spec = impute.ImputerSpec("mice", mice_draws=2, mice_iterations=3)
+    fitted = impute.fit(data, spec)
+    calls = _count_designs(monkeypatch)
+    rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+    completed = impute._run_chain(fitted, data, fitted.chains[0], rng)
+    assert len(calls) == spec.mice_iterations * 2
+    assert completed.tobytes() == \
+        _iterated_chain(fitted, data, fitted.chains[0], reference_rng).tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state

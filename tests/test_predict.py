@@ -166,12 +166,20 @@ def _perturbed_draws(n, draws, seed):
     return out, y
 
 
+def _fit(X, y, penalty, spec, n_raw, start=None):
+    """One draw's DrawModel as `train` fits it, `start` mapped into X's moments."""
+    design, means, stds = predict._design(X, n_raw)
+    beta = predict._fit_draw(design, y, penalty, spec,
+                             None if start is None else predict._warm_start(start, means, stds))
+    return predict.DrawModel(beta[1:], float(beta[0]), means, stds)
+
+
 def test_warm_and_cold_fits_agree():
     (X1, X2), y = _perturbed_draws(5000, 2, seed=10)
     spec = LogisticSpec()
-    first = predict._fit_draw(X1, y, 1.0, spec, 3)
-    cold = predict._fit_draw(X2, y, 1.0, spec, 3)
-    warm = predict._fit_draw(X2, y, 1.0, spec, 3, start=first)
+    first = _fit(X1, y, 1.0, spec, 3)
+    cold = _fit(X2, y, 1.0, spec, 3)
+    warm = _fit(X2, y, 1.0, spec, 3, start=first)
     assert np.max(np.abs(warm.weights - cold.weights)) < 1e-9
     assert abs(warm.intercept - cold.intercept) < 1e-9
     result = ImputationResult((X2,))
@@ -187,13 +195,13 @@ def test_start_next_to_the_optimum_converges_despite_rounding_noise(size):
     # 1e-12 allowance: such a line search rejects steps whose only "increase"
     # is rounding noise, and stalls above the gradient tolerance.
     (X,), y = _perturbed_draws(60000, 1, seed=11)
-    optimum = predict._fit_draw(X, y, 1.0, LogisticSpec(), 3)
+    optimum = _fit(X, y, 1.0, LogisticSpec(), 3)
     for direction in range(3):
         offset = size * np.random.default_rng(direction).standard_normal(4)
         start = predict.DrawModel(
             weights=optimum.weights + offset[1:], intercept=optimum.intercept + offset[0],
             feature_means=optimum.feature_means, feature_stds=optimum.feature_stds)
-        refit = predict._fit_draw(X, y, 1.0, LogisticSpec(max_iterations=5), 3, start=start)
+        refit = _fit(X, y, 1.0, LogisticSpec(max_iterations=5), 3, start=start)
         assert np.max(np.abs(refit.weights - optimum.weights)) < 1e-9
 
 
@@ -210,9 +218,9 @@ def test_warm_start_is_carried_through_raw_feature_space():
     y_x = (rng.random(n) < _sigmoid(logit(x))).astype(float)
     y_u = (rng.random(n) < _sigmoid(logit(u))).astype(float)
     spec = LogisticSpec(fixed_penalty=1.0)
-    start = predict._fit_draw(u, y_u, 1.0, spec, 1)
-    means, stds = predict._standardisation(x, 1)
-    design = np.hstack([np.ones((n, 1)), (x - means) / stds])
+    start = _fit(u, y_u, 1.0, spec, 1)
+    design, means, stds = predict._design(x, 1)
+    design = design.T
     ridge = np.array([0.0, 1.0])
     warm = predict._warm_start(start, means, stds)
     same_coordinates = np.concatenate(([start.intercept], start.weights))
@@ -220,8 +228,8 @@ def test_warm_start_is_carried_through_raw_feature_space():
     assert _penalised_loss(design, y_x, warm, ridge) < 0.9 * zero_loss
     assert _penalised_loss(design, y_x, warm, ridge) < \
         _penalised_loss(design, y_x, same_coordinates, ridge)
-    cold = predict._fit_draw(x, y_x, 1.0, spec, 1)
-    refit = predict._fit_draw(x, y_x, 1.0, spec, 1, start=start)
+    cold = _fit(x, y_x, 1.0, spec, 1)
+    refit = _fit(x, y_x, 1.0, spec, 1, start=start)
     assert np.max(np.abs(refit.weights - cold.weights)) < 1e-9
 
 
@@ -248,8 +256,8 @@ def test_warm_started_cell_needs_far_fewer_loss_evaluations(monkeypatch):
     n_warm = len(calls)
     # every draw from zero, as each draw was fitted before warm starts
     monkeypatch.setattr(predict, "_fit_draw",
-                        lambda X, y, penalty, spec, n_raw, start=None:
-                        fit_draw(X, y, penalty, spec, n_raw))
+                        lambda design, y, penalty, spec, start=None:
+                        fit_draw(design, y, penalty, spec))
     cold = predict.train(result, y, spec)
     assert n_warm <= 0.6 * (len(calls) - n_warm)
     for a, b in zip(warm.draws, cold.draws):
@@ -263,7 +271,7 @@ def test_penalty_path_matches_cold_fits():
     model = predict.train(train_result, train_y, spec,
                           tune_result=tune_result, tune_outcome=tune_y)
     X = train_result.features(0)
-    cold = predict._fit_draw(X, np.asarray(train_y, float), model.penalty, spec, 3)
+    cold = _fit(X, np.asarray(train_y, float), model.penalty, spec, 3)
     assert np.max(np.abs(model.draws[0].weights - cold.weights)) < 1e-9
 
 
@@ -280,5 +288,46 @@ def test_fused_loss_matches_the_logaddexp_form():
         loss = _penalised_loss(design, y, beta, ridge)
         assert type(loss) is float
         assert abs(loss - expected) <= 1e-12 * abs(expected)
-        _, mu = predict._loss_and_mu(design, y, beta, ridge)
+        _, mu = predict._loss_and_mu(design.T, y, beta, ridge)
         assert mu.tobytes() == _sigmoid(eta).tobytes()
+
+
+def test_design_is_feature_major_with_raw_moments():
+    rng = np.random.default_rng(18)
+    X = np.hstack([3.0 + 2.0 * rng.standard_normal((500, 2)), np.full((500, 1), 5.0),
+                   (rng.random((500, 2)) < 0.2).astype(float)])
+    design, means, stds = predict._design(X, 3)
+    assert design.shape == (6, 500) and design.flags.c_contiguous
+    assert np.array_equal(design[0], np.ones(500))
+    assert np.allclose(means[:3], X[:, :3].mean(axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(stds[:2], X[:, :2].std(axis=0), rtol=1e-12, atol=0)
+    assert stds[2] == 1.0 and np.all(design[3] == 0.0)     # a constant column keeps std 1
+    assert np.allclose(design[1:3], ((X[:, :2] - means[:2]) / stds[:2]).T,
+                       rtol=1e-12, atol=1e-12)
+    assert np.array_equal(means[3:], [0.0, 0.0]) and np.array_equal(stds[3:], [1.0, 1.0])
+    assert np.array_equal(design[4:], X[:, 3:].T)           # indicators copied unscaled
+
+
+def test_tuned_train_builds_one_design_per_draw(monkeypatch):
+    draws, y = _perturbed_draws(3000, 10, seed=19)
+    tune_result, tune_y = _data(n=1000, seed=20)
+    spec = LogisticSpec()
+    designs, fits = [], []
+    design, fit_draw = predict._design, predict._fit_draw
+    monkeypatch.setattr(predict, "_design", lambda *a: designs.append(1) or design(*a))
+    monkeypatch.setattr(predict, "_fit_draw", lambda *a: fits.append(1) or fit_draw(*a))
+    model = predict.train(ImputationResult(tuple(draws)), y, spec,
+                          tune_result=tune_result, tune_outcome=tune_y)
+    assert (len(designs), len(fits)) == (10, 40)
+    # the same start graph, penalties outer: draw i starts from draw i-1 at its
+    # penalty, and each penalty's first draw from the one at the penalty before
+    reference, start = {}, None
+    for penalty in sorted(spec.penalty_grid):
+        start = reference[max(reference)][0] if reference else None
+        reference[penalty] = []
+        for X in draws:
+            start = _fit(X, y, penalty, spec, 3, start)
+            reference[penalty].append(start)
+    for got, expected in zip(model.draws, reference[model.penalty]):
+        assert np.allclose(got.weights, expected.weights, rtol=1e-12, atol=0)
+        assert abs(got.intercept - expected.intercept) <= 1e-12 * abs(expected.intercept)
