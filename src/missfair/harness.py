@@ -244,34 +244,22 @@ def _run_cell(imputer_spec, logistic_spec, partitions, capacities, target=None,
                               *((done[1][1], tune.outcome) if tune is not None else ()))
         done.append((test, impute.transform(fitted, test)))
         scores = predict.predict(model, done[-1][1])
-        values = _test_metrics(scores, test, capacities)
+        values = metrics.point_metrics(scores, test.outcome, test.group, capacities)
         if target is not None:
             _store(values, "reconstruction", metrics.reconstruction_error(done, target))
         del done    # scored: free the completions before resampling
         if resamples:
             summaries = metrics.bootstrap(
-                lambda rows: _test_metrics(scores, test, capacities, rows), test.n,
-                n_resamples=resamples, seed=bootstrap_seed)
+                partial(metrics.score_metrics, scores, test.outcome, test.group, capacities),
+                test.n, n_resamples=resamples, seed=bootstrap_seed)
             values = {key: (value, summaries[key]) for key, value in values.items()}
         return values, None
     except CELL_ERRORS as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _test_metrics(scores, test, capacities, rows=slice(None)):
-    """{(metric, group): value} of the risk scores on the test rows (or a resample)."""
-    s, y, g = scores[rows], test.outcome[rows], test.group[rows]
-    values = {}
-    _store(values, "auc", metrics.auc(s, y, g))
-    for capacity in capacities:
-        tm = metrics.threshold_metrics(s, y, g, capacity)
-        _store(values, f"fnr@{capacity:g}", tm.fnr)
-        _store(values, f"prioritisation@{capacity:g}", tm.prioritisation_rate)
-    return values
-
-
 def _store(values, name, gm):
-    for group in ("overall", "majority", "marginalised", "gap"):
+    for group in metrics.GROUPS:
         values[(name, group)] = getattr(gm, group)
 
 

@@ -56,7 +56,7 @@ class FittedImputer:
     d: int
     population_means: np.ndarray
     group_means: dict               # group -> length-d array (nan where no data)
-    medians: np.ndarray
+    medians: np.ndarray             # chain start values; None for mean strategies
     chains: tuple = ()              # per chain: tuple of ChainRegression
     incomplete_columns: tuple = ()
     fallback_columns: frozenset = frozenset()   # columns mean-imputed inside MICE
@@ -85,7 +85,6 @@ def fit(train, spec):
             f"covariates with zero observed training values: {fully_missing.tolist()}")
 
     population_means = np.array([X[observed[:, j], j].mean() for j in range(d)])
-    medians = np.array([np.median(X[observed[:, j], j]) for j in range(d)])
 
     group_means = {}
     group_fallback = set()
@@ -104,8 +103,9 @@ def fit(train, spec):
         group_means[g] = means
 
     incomplete = tuple(int(j) for j in range(d) if not observed[:, j].all())
-    chains, fallback_columns = (), set()
+    chains, fallback_columns, medians = (), set(), None
     if spec.strategy in ("mice", "group_mice"):
+        medians = np.array([np.median(X[observed[:, j], j]) for j in range(d)])
         fallback_columns = {j for j in incomplete if observed[:, j].sum() < d + 2}
         # With at most one incomplete column every regression has complete predictors,
         # so all chains and iterations would repeat one solve: make it once and share it.

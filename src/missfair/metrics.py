@@ -59,32 +59,115 @@ def reconstruction_error(parts, covariate):
     )
 
 
-def _auc_core(scores, outcomes):
-    """Mann-Whitney AUC with tie-averaged ranks; nan if a class is absent."""
+GROUPS = ("overall", "majority", "marginalised", "gap")
+
+# Count-matrix entries scored together: bounds each of the kernel's
+# (resamples, n) temporaries to 128 KiB of int64.
+_BLOCK_ENTRIES = 16384
+
+
+def score_metrics(scores, outcomes, group, capacities, counts):
+    """Group-wise AUC and capacity metrics of one score vector under row-count weights.
+
+    `counts` is an (R, n) integer matrix: row r holds how many copies of each
+    scored row resample r contains (a row of ones is the scored set itself).
+    Returns {(metric, group): (R,) array} for "auc" and, per capacity c,
+    "fnr@c" and "prioritisation@c", over GROUPS; a value is nan where its
+    (sub)population lacks a class the metric needs.
+
+    The scores are sorted twice, whatever R. Ascending, their tie runs give the
+    Mann-Whitney AUC from weighted negatives below each run, in exact integers:
+    2U = sum(P * (2 * neg_below + N)) over runs holding P positive and N
+    negative copies, so AUC = U / (n_pos * n_neg) is rounded once, as from
+    tie-averaged ranks. Descending, ties broken by row index, the top
+    ceil(c * copies) copies are selected; see `threshold_metrics`.
+    """
+    scores = np.asarray(scores, dtype=float)
+    outcomes = np.asarray(outcomes)
+    group = np.asarray(group)
+    counts = np.asarray(counts)
+    if any(not 0.0 < c < 1.0 for c in capacities):
+        raise UndefinedMetricError("capacity must lie strictly in (0, 1)")
+    n = scores.size
     pos = outcomes == 1
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
-        return math.nan
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    # a tie run spans sorted positions start..end; each member gets the run's mean rank
+    selectors = (np.ones(n, dtype=bool), group == 0, group == 1)
+
+    up = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[up]
     starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], scores.size] - 1
-    ranks = np.empty(scores.size)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    rank_sum = ranks[pos].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    runs = starts if starts.size < n else None       # None: no ties to pool
+    # per selector: its positive and its negative rows, in ascending order
+    auc_masks = [((rows & pos)[up], (rows & ~pos)[up]) for rows in selectors]
+
+    down = np.lexsort((np.arange(n), -scores))
+    # columns: each selector's positive rows, then all its rows; descending order
+    count_masks = np.stack([m for rows in selectors for m in (rows & pos, rows)],
+                           axis=1)[down].astype(float)
+
+    names = ["auc"] + [f"{m}@{c:g}" for c in capacities
+                       for m in ("fnr", "prioritisation")]
+    out = {(name, g): np.empty(len(counts)) for name in names for g in GROUPS}
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for b in range(0, len(counts), step):
+        block = slice(b, b + step)
+        c_up = counts[block][:, up]
+        for g, (pos_rows, neg_rows) in zip(GROUPS, auc_masks):
+            out[("auc", g)][block] = _weighted_auc(c_up * pos_rows, c_up * neg_rows, runs)
+
+        c_down = counts[block][:, down]
+        above = np.cumsum(c_down, axis=1) - c_down  # copies ranked before each row
+        held = c_down @ count_masks
+        for c in capacities:
+            k = np.ceil(c * c_down.sum(axis=1))
+            chosen = np.clip(k[:, None] - above, 0, c_down) @ count_masks
+            for i, g in enumerate(GROUPS[:3]):
+                positives, members = held[:, 2 * i], held[:, 2 * i + 1]
+                out[(f"fnr@{c:g}", g)][block] = _ratio(
+                    positives - chosen[:, 2 * i], positives)
+                out[(f"prioritisation@{c:g}", g)][block] = _ratio(
+                    chosen[:, 2 * i + 1], members)
+    for name in names:
+        out[(name, "gap")] = out[(name, "marginalised")] - out[(name, "majority")]
+    return out
+
+
+def _weighted_auc(positives, negatives, runs):
+    """(B,) AUC from (B, n) positive and negative copy counts in ascending score order."""
+    if runs is not None:
+        positives = np.add.reduceat(positives, runs, axis=1)
+        negatives = np.add.reduceat(negatives, runs, axis=1)
+    neg_to = np.cumsum(negatives, axis=1)          # negatives in this run or below
+    twice_u = np.sum(positives * (2 * neg_to - negatives), axis=1)
+    pairs = positives.sum(axis=1) * negatives.sum(axis=1)
+    return _ratio(twice_u * 0.5, pairs)
+
+
+def _ratio(numerator, denominator):
+    """numerator / denominator elementwise; nan where the denominator is 0."""
+    out = np.full(np.shape(denominator), math.nan)
+    np.divide(numerator, denominator, out=out, where=denominator > 0)
+    return out
+
+
+def point_metrics(scores, outcomes, group, capacities=()):
+    """`score_metrics` of the scored set itself: {(metric, group): float}."""
+    values = score_metrics(scores, outcomes, group, capacities,
+                           np.ones((1, len(scores)), dtype=np.intp))
+    return {key: float(value[0]) for key, value in values.items()}
+
+
+def _group_metric(values, name):
+    return GroupMetric(*(values[(name, g)] for g in GROUPS[:3]))
+
+
+def _auc_core(scores, outcomes):
+    """Mann-Whitney AUC, a tie counting one half; nan if a class is absent."""
+    return point_metrics(scores, outcomes, np.zeros(len(scores)))[("auc", "overall")]
 
 
 def auc(scores, outcomes, group):
     """Group-wise ranking AUC of risk scores against binary outcomes."""
-    scores = np.asarray(scores, dtype=float)
-    outcomes = np.asarray(outcomes)
-    return GroupMetric(
-        overall=_auc_core(scores, outcomes),
-        majority=_auc_core(scores[group == 0], outcomes[group == 0]),
-        marginalised=_auc_core(scores[group == 1], outcomes[group == 1]),
-    )
+    return _group_metric(point_metrics(scores, outcomes, group), "auc")
 
 
 @dataclass(frozen=True)
@@ -97,34 +180,16 @@ def threshold_metrics(scores, outcomes, group, capacity):
     """Select the top ceil(capacity * n) rows by score and audit the decision.
 
     Score ties are broken by ascending row index so the selection is exact and
-    deterministic. FNR is the fraction of true positives left unselected; the
-    prioritisation rate is the fraction of the (sub)population selected.
+    deterministic. Under resampling weights (`score_metrics`) the copies of
+    one row are interchangeable, and ties between distinct rows still break by
+    their index in the scored set, not by their position in the resample. FNR
+    is the fraction of true positives left unselected; the prioritisation rate
+    is the fraction of the (sub)population selected.
     """
-    if not 0.0 < capacity < 1.0:
-        raise UndefinedMetricError("capacity must lie strictly in (0, 1)")
-    scores = np.asarray(scores, dtype=float)
-    outcomes = np.asarray(outcomes)
-    n = scores.size
-    k = int(math.ceil(capacity * n))
-    order = np.lexsort((np.arange(n), -scores))
-    selected = np.zeros(n, dtype=bool)
-    selected[order[:k]] = True
-
-    def _fnr(rows):
-        pos = rows & (outcomes == 1)
-        if not pos.any():
-            return math.nan
-        return float((pos & ~selected).sum() / pos.sum())
-
-    def _rate(rows):
-        return float(selected[rows].mean()) if rows.any() else math.nan
-
-    everyone = np.ones(n, dtype=bool)
-    maj, marg = group == 0, group == 1
-    return ThresholdMetrics(
-        fnr=GroupMetric(_fnr(everyone), _fnr(maj), _fnr(marg)),
-        prioritisation_rate=GroupMetric(_rate(everyone), _rate(maj), _rate(marg)),
-    )
+    values = point_metrics(scores, outcomes, group, (capacity,))
+    return ThresholdMetrics(fnr=_group_metric(values, f"fnr@{capacity:g}"),
+                            prioritisation_rate=_group_metric(
+                                values, f"prioritisation@{capacity:g}"))
 
 
 @dataclass(frozen=True)
@@ -140,16 +205,17 @@ class BootstrapSummary:
 def bootstrap(metric_fn, n_rows, n_resamples=100, seed=0, confidence=0.95):
     """Nonparametric row-resampling bootstrap over a dict-valued metric function.
 
-    `metric_fn(rows)` must return {name: value} for an index array of resampled
-    rows; nan values count as undefined and are dropped per field. A field that
-    is undefined in more than half the resamples raises UnreliableBootstrapError.
+    Each resample draws n_rows row indices with replacement and is passed on as
+    its row counts: `metric_fn(counts)` gets the (n_resamples, n_rows) count
+    matrix and returns {name: (n_resamples,) values}. nan values count as
+    undefined and are dropped per field. A field that is undefined in more than
+    half the resamples raises UnreliableBootstrapError.
     """
     rng = np.random.default_rng(seed)
-    samples = {}
-    for _ in range(n_resamples):
-        rows = rng.integers(0, n_rows, size=n_rows)
-        for name, value in metric_fn(rows).items():
-            samples.setdefault(name, []).append(value)
+    counts = np.empty((n_resamples, n_rows), dtype=np.intp)
+    for r in range(n_resamples):
+        counts[r] = np.bincount(rng.integers(0, n_rows, size=n_rows), minlength=n_rows)
+    samples = metric_fn(counts)
     tail = 0.5 * (1.0 - confidence)
     out = {}
     for name, values in samples.items():

@@ -146,14 +146,21 @@ def _fit_draw(design, y, penalty, spec, start=None):
     return beta
 
 
-def _score_draws(draws, result):
-    total = None
-    for i, dm in enumerate(draws):
+def _score_draws(models, result):
+    """Averaged per-draw probabilities on `result`, one array per model.
+
+    The models' draw i must share draw i's standardisation (as every penalty's
+    fit of one training draw does): each draw's standardised matrix is built
+    once and scored by every model.
+    """
+    totals = [None] * len(models)
+    for i, dm in enumerate(models[0]):
         X = result.features(i if result.n_draws > 1 else 0)
         Z = (X - dm.feature_means) / dm.feature_stds
-        p = _sigmoid(Z @ dm.weights + dm.intercept)
-        total = p if total is None else total + p
-    return total / len(draws)
+        for k, draws in enumerate(models):
+            p = _sigmoid(Z @ draws[i].weights + draws[i].intercept)
+            totals[k] = p if totals[k] is None else totals[k] + p
+    return [total / len(models[0]) for total in totals]
 
 
 def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome=None):
@@ -189,8 +196,8 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     else:
         tune_y = np.asarray(tune_outcome)
         best = None
-        for penalty, draws in zip(penalties, fits):
-            score = _auc_core(_score_draws(draws, tune_result), tune_y)
+        for penalty, draws, scores in zip(penalties, fits, _score_draws(fits, tune_result)):
+            score = _auc_core(scores, tune_y)
             if best is None or score > best[0] + 1e-12:
                 best = (score, penalty, draws)
         _, penalty, draws = best
@@ -209,4 +216,4 @@ def predict(model, result):
     if result.n_draws not in (1, model.n_draws):
         raise ConfigurationError(
             f"data has {result.n_draws} draws but the model has {model.n_draws}")
-    return _score_draws(model.draws, result)
+    return _score_draws([model.draws], result)[0]

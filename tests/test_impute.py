@@ -110,6 +110,21 @@ def test_mean_strategies_have_single_draw():
         assert result.n_draws == 1
 
 
+@pytest.mark.parametrize("name", ["population_mean", "group_mean"])
+def test_mean_strategies_fit_no_medians(name):
+    data = _masked()
+    fitted = impute.fit(data, impute.ImputerSpec(name))
+    assert fitted.medians is None
+    X = data.cohort.covariates
+    obs = data.mask.observed[:, 2]
+    expected = X.copy()
+    for g in (0, 1):
+        rows = data.group == g if name == "group_mean" else np.ones(data.n, dtype=bool)
+        expected[rows & ~obs, 2] = X[rows & obs, 2].mean()
+    assert np.array_equal(impute.transform(fitted, data).completed[0], expected)
+    assert impute.fit(data, impute.ImputerSpec("mice", mice_draws=1)).medians is not None
+
+
 def test_indicator_columns_mark_missing_cells():
     data = _masked()
     spec = impute.ImputerSpec("group_mice", append_indicators=True,

@@ -6,9 +6,9 @@ import pytest
 from missfair import metrics
 from missfair.data_model import (Cohort, ImputationResult, MaskedCohort,
                                  ObservationMask)
-from missfair.metrics import (UndefinedMetricError, UnreliableBootstrapError,
+from missfair.metrics import (GROUPS, UndefinedMetricError, UnreliableBootstrapError,
                               _auc_core, auc, bootstrap, reconstruction_error,
-                              threshold_metrics)
+                              score_metrics, threshold_metrics)
 
 
 def _pairwise_auc(scores, outcomes):
@@ -202,8 +202,8 @@ def test_bootstrap_recovers_mean_and_is_deterministic():
     rng = np.random.default_rng(3)
     values = rng.standard_normal(2000) + 5.0
 
-    def fn(rows):
-        return {"m": float(values[rows].mean())}
+    def fn(counts):
+        return {"m": counts @ values / len(values)}
 
     a = bootstrap(fn, len(values), n_resamples=200, seed=9)
     b = bootstrap(fn, len(values), n_resamples=200, seed=9)
@@ -215,9 +215,10 @@ def test_bootstrap_recovers_mean_and_is_deterministic():
 def test_bootstrap_drops_occasional_nan():
     count = [0]
 
-    def fn(rows):
-        count[0] += 1
-        return {"m": math.nan if count[0] % 5 == 0 else 1.0}
+    def fn(counts):
+        index = count[0] + np.arange(1, len(counts) + 1)
+        count[0] += len(counts)
+        return {"m": np.where(index % 5 == 0, math.nan, 1.0)}
 
     out = bootstrap(fn, 10, n_resamples=100, seed=0)
     assert out["m"].n_dropped == 20
@@ -225,8 +226,136 @@ def test_bootstrap_drops_occasional_nan():
 
 
 def test_bootstrap_mostly_undefined_raises():
-    def fn(rows):
-        return {"m": math.nan}
+    def fn(counts):
+        return {"m": np.full(len(counts), math.nan)}
 
     with pytest.raises(UnreliableBootstrapError):
         bootstrap(fn, 10, n_resamples=20, seed=0)
+
+
+def _resampled_reference(scores, outcomes, group, capacities, rows, tie_key):
+    """The metrics of one resample from its fancy-indexed rows.
+
+    Selection takes the top ceil(c * n) resampled rows by score, ties broken
+    by `tie_key` (one entry per resampled row), with a lexsort.
+    """
+    s, y, g = scores[rows], outcomes[rows], group[rows]
+    members = {"overall": np.ones(s.size, dtype=bool), "majority": g == 0,
+               "marginalised": g == 1}
+    out = {("auc", name): _loop_auc(s[m], y[m]) for name, m in members.items()}
+    for c in capacities:
+        selected = np.zeros(s.size, dtype=bool)
+        selected[np.lexsort((tie_key, -s))[:math.ceil(c * s.size)]] = True
+        for name, m in members.items():
+            pos = m & (y == 1)
+            out[(f"fnr@{c:g}", name)] = (
+                (pos & ~selected).sum() / pos.sum() if pos.any() else math.nan)
+            out[(f"prioritisation@{c:g}", name)] = (
+                selected[m].mean() if m.any() else math.nan)
+    for metric in {metric for metric, _ in out}:
+        out[(metric, "gap")] = out[(metric, "marginalised")] - out[(metric, "majority")]
+    return out
+
+
+def _draws(n, n_resamples, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, n, size=n) for _ in range(n_resamples)]
+
+
+def _counts(draws, n):
+    return np.stack([np.bincount(rows, minlength=n) for rows in draws])
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+CAPACITIES = (0.1, 0.25, 0.5)
+
+
+def test_score_metrics_equals_resampled_arrays():
+    # 70 resamples of 301 rows fill one of the kernel's blocks and part of a second;
+    # no capacity times 301 is a whole number, so the ceiling matters
+    r = np.random.default_rng(4)
+    n = 301
+    scores, outcomes = r.random(n), (r.random(n) < 0.4).astype(int)
+    group = (r.random(n) < 0.2).astype(int)
+    draws = _draws(n, 70, seed=5)
+    values = score_metrics(scores, outcomes, group, CAPACITIES, _counts(draws, n))
+    assert set(values) == {(m, g) for m in ["auc"] + [f"{k}@{c:g}" for c in CAPACITIES
+                                                     for k in ("fnr", "prioritisation")]
+                           for g in GROUPS}
+    for i, rows in enumerate(draws):
+        ref = _resampled_reference(scores, outcomes, group, CAPACITIES, rows,
+                                   np.arange(n))
+        for key, value in ref.items():
+            assert _same(values[key][i], value), (i, key)
+
+
+def test_score_metrics_with_ties_breaks_them_by_row_index():
+    r = np.random.default_rng(6)
+    n = 201
+    scores = np.round(r.random(n), 1)            # coarse rounding forces ties
+    outcomes, group = (r.random(n) < 0.4).astype(int), (r.random(n) < 0.3).astype(int)
+    draws = _draws(n, 40, seed=7)
+    values = score_metrics(scores, outcomes, group, CAPACITIES, _counts(draws, n))
+    for i, rows in enumerate(draws):
+        # AUC does not depend on the tie rule; selection ranks tied copies by row index
+        ref = _resampled_reference(scores, outcomes, group, CAPACITIES, rows, rows)
+        for key, value in ref.items():
+            assert _same(values[key][i], value), (i, key)
+
+
+def test_score_metrics_of_ones_is_the_scored_set():
+    r = np.random.default_rng(8)
+    scores, outcomes = r.random(150), (r.random(150) < 0.5).astype(int)
+    group = (r.random(150) < 0.3).astype(int)
+    values = score_metrics(scores, outcomes, group, (0.25,), np.ones((1, 150), dtype=int))
+    a, tm = auc(scores, outcomes, group), threshold_metrics(scores, outcomes, group, 0.25)
+    for g in GROUPS:
+        assert values[("auc", g)][0] == getattr(a, g)
+        assert values[("fnr@0.25", g)][0] == getattr(tm.fnr, g)
+        assert values[("prioritisation@0.25", g)][0] == getattr(tm.prioritisation_rate, g)
+
+
+def test_bootstrap_passes_the_per_resample_draws_as_counts():
+    seen = []
+
+    def fn(counts):
+        seen.append(counts.copy())
+        return {"m": counts[:, 0].astype(float)}
+
+    bootstrap(fn, 50, n_resamples=30, seed=11)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], _counts(_draws(50, 30, seed=11), 50))
+
+
+def test_resample_without_marginalised_positives_is_nan_then_dropped():
+    # row 0 is the only marginalised positive; rows 1-2 are marginalised negatives
+    n = 20
+    r = np.random.default_rng(12)
+    scores = r.random(n)
+    outcomes = np.r_[1, 0, 0, (r.random(n - 3) < 0.5).astype(int)]
+    group = np.r_[1, 1, 1, np.zeros(n - 3, dtype=int)]
+    counts = np.ones((2, n), dtype=int)
+    counts[1, 0], counts[1, 3] = 0, 2
+    values = score_metrics(scores, outcomes, group, (0.5,), counts)
+    for metric in ("auc", "fnr@0.5"):
+        assert not math.isnan(values[(metric, "marginalised")][0])
+        assert math.isnan(values[(metric, "marginalised")][1])
+        assert math.isnan(values[(metric, "gap")][1])
+    assert not math.isnan(values[("prioritisation@0.5", "marginalised")][1])
+
+    out = bootstrap(lambda c: score_metrics(scores, outcomes, group, (0.5,), c), n,
+                    n_resamples=50, seed=13)
+    held = _counts(_draws(n, 50, seed=13), n)
+    no_positive = held[:, 0] == 0
+    # the marginalised AUC also needs a marginalised negative
+    undefined = {"fnr@0.5": no_positive,
+                 "auc": no_positive | (held[:, 1] + held[:, 2] == 0)}
+    for metric, rows in undefined.items():
+        assert 0 < rows.sum() <= 25
+        assert out[(metric, "marginalised")].n_dropped == rows.sum()
+        assert out[(metric, "marginalised")].n_effective == 50 - rows.sum()
+        assert out[(metric, "gap")].n_dropped == rows.sum()
+    assert out[("auc", "overall")].n_dropped == 0

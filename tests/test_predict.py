@@ -183,8 +183,8 @@ def test_warm_and_cold_fits_agree():
     assert np.max(np.abs(warm.weights - cold.weights)) < 1e-9
     assert abs(warm.intercept - cold.intercept) < 1e-9
     result = ImputationResult((X2,))
-    cold_scores = predict._score_draws((cold,), result)
-    warm_scores = predict._score_draws((warm,), result)
+    cold_scores = predict._score_draws([(cold,)], result)[0]
+    warm_scores = predict._score_draws([(warm,)], result)[0]
     assert np.array_equal(np.argsort(cold_scores, kind="stable"),
                           np.argsort(warm_scores, kind="stable"))
 
