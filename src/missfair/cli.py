@@ -12,12 +12,6 @@ def _add_common(parser):
     parser.add_argument("--out", help="override the output directory")
 
 
-def _resolve(args, extra=None):
-    overrides = {"seed": args.seed, "output_dir": args.out}
-    overrides.update(extra or {})
-    return harness.load_config(args.config, overrides)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="missfair",
@@ -62,8 +56,10 @@ def main(argv=None):
         print(f"wrote {harness.make_standin(args.out, seed=args.seed)}")
         return 0
 
-    config = _resolve(args, {"repetitions": args.repetitions, "threads": args.threads}
-                      if args.command == "simulate" else None)
+    overrides = {"seed": args.seed, "output_dir": args.out}
+    if args.command == "simulate":
+        overrides.update(repetitions=args.repetitions, threads=args.threads)
+    config = harness.load_config(args.config, overrides)
     if args.command == "audit-csv":
         csv_spec = dict(config.get("csv") or {})
         for key, value in (("path", args.input), ("group_column", args.group_column),

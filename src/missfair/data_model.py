@@ -119,15 +119,12 @@ class ImputationResult:
     """I >= 1 completed covariate matrices, plus optional missingness-indicator columns."""
 
     completed: tuple
-    indicators_appended: bool = False
     indicator_columns: np.ndarray = None
 
     def __post_init__(self):
         mats = tuple(_freeze(np.asarray(m, dtype=float)) for m in self.completed)
         if len(mats) < 1:
             raise ConfigurationError("at least one completed matrix required")
-        if self.indicators_appended and self.indicator_columns is None:
-            raise ConfigurationError("indicator columns missing")
         object.__setattr__(self, "completed", mats)
         if self.indicator_columns is not None:
             object.__setattr__(self, "indicator_columns",
@@ -137,10 +134,16 @@ class ImputationResult:
     def n_draws(self):
         return len(self.completed)
 
+    @property
+    def n_features(self):
+        """Width of `features(draw)`: the covariates plus any indicator columns."""
+        extra = 0 if self.indicator_columns is None else self.indicator_columns.shape[1]
+        return self.completed[0].shape[1] + extra
+
     def features(self, draw):
         """Model-ready feature matrix for one draw (indicators appended when present)."""
         X = self.completed[draw]
-        if self.indicators_appended:
+        if self.indicator_columns is not None:
             X = np.hstack([X, self.indicator_columns])
         return X
 
@@ -150,7 +153,7 @@ class SplitSpec:
     train_fraction: float
     tune_fraction: float
     test_fraction: float
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.tune_fraction, self.test_fraction)

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -90,7 +90,7 @@ def load_config(path=None, overrides=None):
         config = _merge(config, loaded)
     config = _merge(config, {k: v for k, v in (overrides or {}).items() if v is not None})
     _check_numbers(config)
-    _check_specs(config)
+    _plan(config)
     return copy.deepcopy(config)    # editing a run's config must not touch the defaults
 
 
@@ -130,41 +130,56 @@ def _check_numbers(config):
                 f"{key.removesuffix('[]')} must be {requirement}, got {value!r}")
 
 
-def _check_specs(config):
-    """Build every spec a run builds, so a bad section fails here and names its key."""
-    builds = {f"population.{name}": partial(_cluster_spec, config["population"][name])
-              for name in _CLUSTERS}
-    builds["population"] = partial(_population_spec, config, 0)
-    builds["model"] = partial(_logistic_spec, config)
+def _plan(config):
+    """Seed-free specs of every section a run builds; the runners stamp the seeds.
+
+    Each section is built by one function; one that cannot be built raises
+    ConfigurationError naming its key. `csv` is None when the section is unset.
+    """
     for section in ("scenarios", "imputers"):
         if not isinstance(config[section], list):
             raise ConfigurationError(f"{section} must be a list, got {config[section]!r}")
-    builds.update({f"scenarios[{i}]": partial(_scenario_spec, entry, config["target_covariate"], 0)
-                   for i, entry in enumerate(config["scenarios"])})
-    builds.update({f"imputers[{i}]": partial(_imputer_spec, entry, 0)
-                   for i, entry in enumerate(config["imputers"])})
-    for key, build in builds.items():
-        try:
-            build()
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigurationError(
-                f"{key} must be a usable entry ({type(exc).__name__}: {exc})") from exc
+    p, s = config["population"], config["split"]
+    clusters = {name: _build(f"population.{name}", _cluster_spec, p[name]) for name in _CLUSTERS}
+    return {
+        "population": _build("population", _population_spec, p, clusters),
+        "split": _build("split", _split_spec, (s["train"], s["tune"], s["test"])),
+        "model": _build("model", _logistic_spec, config["model"]),
+        "region": _build("region", _region_spec, config["region"]),
+        "scenarios": [_build(f"scenarios[{i}]", _scenario_spec, entry, config["target_covariate"])
+                      for i, entry in enumerate(config["scenarios"])],
+        "imputers": [_build(f"imputers[{i}]", _imputer_spec, entry)
+                     for i, entry in enumerate(config["imputers"])],
+        "csv": None if config["csv"] is None else _build("csv", _csv_spec, config["csv"]),
+    }
+
+
+def _build(key, build, *args):
+    """build(*args); a bad entry's error is raised as a ConfigurationError naming `key`."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigurationError(
+            f"{key} must be a usable entry ({type(exc).__name__}: {exc})") from exc
 
 
 _CLUSTERS = ("negative_cluster", "positive_majority_cluster", "positive_marginalised_cluster")
 
 
 def _known_keys(entry, keys):
-    """Reject a misspelled key in a spec entry, which would silently run its default."""
+    """Reject a non-mapping entry, or a misspelled key, which would silently run its default."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"expected a mapping, got {entry!r}")
     unknown = sorted(entry.keys() - set(keys))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")
 
 
-def _integer(entry, key, default):
+def _typed(entry, key, default, kind=int):
+    """entry[key], or the default, which must be a `kind`; a bool is not an int here."""
     value = entry.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
     return value
 
 
@@ -173,54 +188,75 @@ def _cluster_spec(entry):
     return ClusterSpec(tuple(entry["mean"]), float(entry["variance"]))
 
 
-def _population_spec(config, seed):
-    p = config["population"]
+def _population_spec(p, clusters):
     return PopulationSpec(
-        n_majority=int(p["n_majority"]),
-        n_marginalised=int(p["n_marginalised"]),
+        n_majority=p["n_majority"],
+        n_marginalised=p["n_marginalised"],
         prevalence_majority=float(p["prevalence_majority"]),
         prevalence_marginalised=float(p["prevalence_marginalised"]),
-        **{name: _cluster_spec(p[name]) for name in _CLUSTERS},
-        correlate_x2_with_x1=bool(p["correlate_x2_with_x1"]),
-        seed=seed,
+        **clusters,
+        correlate_x2_with_x1=_typed(p, "correlate_x2_with_x1", False, bool),
     )
 
 
-def _scenario_spec(entry, target, seed):
+def _split_spec(fractions):
+    if len(fractions) != 3:
+        raise ValueError(f"fractions must be three numbers (train, tune, test), got {fractions!r}")
+    return SplitSpec(*(float(f) for f in fractions))
+
+
+def _scenario_spec(entry, target):
     if isinstance(entry, str):
         entry = {"scenario": entry}
     _known_keys(entry, ("scenario", "target_covariate", "trigger_covariate", "threshold",
                         "mask_probability"))
     return ScenarioSpec(
         scenario=entry["scenario"],
-        target_covariate=_integer(entry, "target_covariate", target),
-        trigger_covariate=_integer(entry, "trigger_covariate", 0),
+        target_covariate=_typed(entry, "target_covariate", target),
+        trigger_covariate=_typed(entry, "trigger_covariate", 0),
         threshold=float(entry.get("threshold", 0.5)),
         mask_probability=float(entry.get("mask_probability", 0.5)),
-        seed=seed,
     )
 
 
-def _imputer_spec(entry, seed):
+def _imputer_spec(entry):
     _known_keys(entry, ("strategy", "append_indicators", "mice_iterations", "mice_draws"))
-    indicators = entry.get("append_indicators", False)
-    if not isinstance(indicators, bool):
-        raise TypeError(f"append_indicators must be true or false, got {indicators!r}")
     return impute.ImputerSpec(
         strategy=entry["strategy"],
-        append_indicators=indicators,
-        mice_iterations=_integer(entry, "mice_iterations", 10),
-        mice_draws=_integer(entry, "mice_draws", 10),
-        seed=seed,
+        append_indicators=_typed(entry, "append_indicators", False, bool),
+        mice_iterations=_typed(entry, "mice_iterations", 10),
+        mice_draws=_typed(entry, "mice_draws", 10),
     )
 
 
-def _logistic_spec(config):
-    m = config["model"]
+def _logistic_spec(model):
     return predict.LogisticSpec(
-        penalty_grid=tuple(float(p) for p in m.get("penalty_grid", (0.1, 1.0, 10.0, 100.0))),
-        fixed_penalty=float(m["fixed_penalty"]),
+        penalty_grid=tuple(float(p) for p in model["penalty_grid"]),
+        fixed_penalty=float(model["fixed_penalty"]),
     )
+
+
+def _region_spec(region):
+    """The region section as the scan's base TheoremInputs and its rho grid."""
+    r = {key: float(value) for key, value in region.items()}
+    sigma = r["sigma"]
+    return theory.TheoremInputs(
+        alpha_g=r["alpha_g"], alpha_ng=r["alpha_ng"], rho_g=0.0, rho_ng=0.0, r_g=r["r_g"],
+        sigma_g=sigma, sigma_ng=sigma, var_unobs_g=sigma * sigma, var_unobs_ng=sigma * sigma,
+        mu_obs_g=r["mu_obs_g"], mu_obs_ng=r["mu_obs_ng"],
+    ), np.linspace(r["rho_min"], r["rho_max"], region["steps"])
+
+
+def _csv_spec(entry):
+    """The csv section as (read_csv_cohort keyword arguments, seed-free SplitSpec)."""
+    _known_keys(entry, ("path", "group_column", "outcome_column", "marginalised_value",
+                        "positive_value", "fractions"))
+    arguments = dict(entry)     # an omitted column or value keeps read_csv_cohort's default
+    for key in ("path", "group_column", "outcome_column"):
+        if not isinstance(arguments.get(key, ""), str):
+            raise TypeError(f"{key} must be a string, got {arguments[key]!r}")
+    fractions = arguments.pop("fractions", (0.8, 0.1, 0.1))
+    return arguments, _split_spec(fractions)
 
 
 def _derived_seed(*entropy):
@@ -246,7 +282,8 @@ def _run_cell(imputer_spec, logistic_spec, partitions, capacities, target=None,
         scores = predict.predict(model, done[-1][1])
         values = metrics.point_metrics(scores, test.outcome, test.group, capacities)
         if target is not None:
-            _store(values, "reconstruction", metrics.reconstruction_error(done, target))
+            recon = metrics.reconstruction_error(done, target)
+            values.update({("reconstruction", g): getattr(recon, g) for g in metrics.GROUPS})
         del done    # scored: free the completions before resampling
         if resamples:
             summaries = metrics.bootstrap(
@@ -258,28 +295,21 @@ def _run_cell(imputer_spec, logistic_spec, partitions, capacities, target=None,
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _store(values, name, gm):
-    for group in metrics.GROUPS:
-        values[(name, group)] = getattr(gm, group)
-
-
 def _simulate_repetition(config, rep):
     """One end-to-end repetition; returns (records, errors) keyed by cell."""
-    seed = int(config["seed"])
-    cohort = generate(_population_spec(config, _derived_seed(seed, rep, 0)))
-    split_spec = SplitSpec(float(config["split"]["train"]), float(config["split"]["tune"]),
-                           float(config["split"]["test"]), _derived_seed(seed, rep, 1))
-    target = int(config["target_covariate"])
-    logistic_spec = _logistic_spec(config)
+    plan, seed = _plan(config), config["seed"]
+    cohort = generate(replace(plan["population"], seed=_derived_seed(seed, rep, 0)))
+    split_spec = replace(plan["split"], seed=_derived_seed(seed, rep, 1))
     records, errors = {}, {}
-    for s_index, entry in enumerate(config["scenarios"]):
-        scenario_spec = _scenario_spec(entry, target, _derived_seed(seed, rep, 2, s_index))
-        partitions = split(cohort, apply_scenario(cohort, scenario_spec), split_spec)
-        for i_index, imp_entry in enumerate(config["imputers"]):
-            imputer_spec = _imputer_spec(imp_entry, _derived_seed(seed, rep, 3, i_index))
+    for s_index, scenario_spec in enumerate(plan["scenarios"]):
+        mask = apply_scenario(cohort, replace(scenario_spec,
+                                              seed=_derived_seed(seed, rep, 2, s_index)))
+        partitions = split(cohort, mask, split_spec)
+        for i_index, imputer_spec in enumerate(plan["imputers"]):
             cell = (scenario_spec.scenario, imputer_spec.label())
-            values, error = _run_cell(imputer_spec, logistic_spec, partitions,
-                                      config["capacities"], target)
+            values, error = _run_cell(
+                replace(imputer_spec, seed=_derived_seed(seed, rep, 3, i_index)), plan["model"],
+                partitions, config["capacities"], config["target_covariate"])
             if error:
                 errors[cell] = error
             else:
@@ -309,7 +339,7 @@ class Report:
 
 def _format(value):
     if isinstance(value, float):
-        return "nan" if math.isnan(value) else format(value, ".10g")
+        return format(value, ".10g")
     return value
 
 
@@ -366,8 +396,7 @@ def audit_sign_convention(rows, tolerance=1e-9):
 
 def run_simulation(config):
     """Repeat generate/mask/split/impute/train/audit; aggregate across repetitions."""
-    repetitions = int(config["repetitions"])
-    threads = max(1, int(config["threads"]))
+    repetitions, threads = config["repetitions"], config["threads"]
     if threads == 1:
         results = [_simulate_repetition(config, rep) for rep in range(repetitions)]
     else:
@@ -390,7 +419,7 @@ def _manifest_config(config):
     return json.loads(json.dumps(out))
 
 
-def read_csv_cohort(path, group_column, outcome_column,
+def read_csv_cohort(path, group_column="group", outcome_column="outcome",
                     marginalised_value="1", positive_value="1"):
     """Load an external table: empty covariate cells become missing entries.
 
@@ -448,31 +477,24 @@ def _covariate(cell, column, where):
 def run_csv_audit(config):
     """Audit the five imputers on one external CSV with bootstrap intervals.
 
-    The table is split 0.8/0.1/0.1; the ridge penalty is tuned on the middle
-    partition; metrics are bootstrapped over test rows. No reconstruction error
-    is reported because ground truth at missing cells is unknown.
+    The table is split by `csv.fractions` (0.8/0.1/0.1 by default); the ridge
+    penalty is tuned on the middle partition; metrics are bootstrapped over test
+    rows. No reconstruction error is reported: ground truth at missing cells is unknown.
     """
-    spec = config.get("csv")
-    if not spec or "path" not in spec:
+    plan, seed = _plan(config), config["seed"]
+    if plan["csv"] is None or "path" not in plan["csv"][0]:
         raise ConfigurationError("csv.path must be set for audit-csv")
-    cohort, mask, names = read_csv_cohort(
-        spec["path"], spec.get("group_column", "group"),
-        spec.get("outcome_column", "outcome"),
-        spec.get("marginalised_value", "1"), spec.get("positive_value", "1"))
-    seed = int(config["seed"])
-    fractions = spec.get("fractions", (0.8, 0.1, 0.1))
-    partitions = split(cohort, mask, SplitSpec(
-        float(fractions[0]), float(fractions[1]), float(fractions[2]),
-        _derived_seed(seed, 0, 1)))
-    logistic_spec = _logistic_spec(config)
-    resamples = int(config["bootstrap_resamples"])
+    arguments, split_spec = plan["csv"]
+    cohort, mask, names = read_csv_cohort(**arguments)
+    partitions = split(cohort, mask, replace(split_spec, seed=_derived_seed(seed, 0, 1)))
+    resamples = config["bootstrap_resamples"]
 
     rows = []
-    for i_index, imp_entry in enumerate(config["imputers"]):
-        imputer_spec = _imputer_spec(imp_entry, _derived_seed(seed, 0, 3, i_index))
+    for i_index, imputer_spec in enumerate(plan["imputers"]):
         cell = ("csv", imputer_spec.label())
-        values, error = _run_cell(imputer_spec, logistic_spec, partitions,
-                                  config["capacities"], resamples=resamples,
+        values, error = _run_cell(replace(imputer_spec, seed=_derived_seed(seed, 0, 3, i_index)),
+                                  plan["model"], partitions, config["capacities"],
+                                  resamples=resamples,
                                   bootstrap_seed=_derived_seed(seed, 0, 4, i_index))
         if error:
             rows.append(_row(cell, resamples, error))
@@ -484,23 +506,10 @@ def run_csv_audit(config):
                                   "config": _manifest_config(config)})
 
 
-def _region_base_inputs(config):
-    r = config["region"]
-    sigma = float(r["sigma"])
-    return theory.TheoremInputs(
-        alpha_g=float(r["alpha_g"]), alpha_ng=float(r["alpha_ng"]),
-        rho_g=0.0, rho_ng=0.0, r_g=float(r["r_g"]),
-        sigma_g=sigma, sigma_ng=sigma,
-        var_unobs_g=sigma * sigma, var_unobs_ng=sigma * sigma,
-        mu_obs_g=float(r["mu_obs_g"]), mu_obs_ng=float(r["mu_obs_ng"]),
-    )
-
-
 def run_region_scan(config):
     """Closed-form gap map over the (rho_g, rho_ng) grid from the configuration."""
-    r = config["region"]
-    grid = np.linspace(float(r["rho_min"]), float(r["rho_max"]), int(r["steps"]))
-    return Report(theory.region_scan(_region_base_inputs(config), grid, grid),
+    base, grid = _plan(config)["region"]
+    return Report(theory.region_scan(base, grid, grid),
                   {"mode": "region-scan", "config": _manifest_config(config)})
 
 

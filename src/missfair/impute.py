@@ -30,10 +30,6 @@ class ImputerSpec:
             raise ConfigurationError("mice_iterations and mice_draws must be >= 1")
 
     @property
-    def n_draws(self):
-        return 1 if self.strategy in MEAN_STRATEGIES else self.mice_draws
-
-    @property
     def uses_group(self):
         return self.strategy in ("group_mean", "group_mice")
 
@@ -59,7 +55,6 @@ class FittedImputer:
     medians: np.ndarray             # chain start values; None for mean strategies
     chains: tuple = ()              # per chain: tuple of ChainRegression
     incomplete_columns: tuple = ()
-    fallback_columns: frozenset = frozenset()   # columns mean-imputed inside MICE
     group_fallback: frozenset = frozenset()     # (group, column) cells with no data
     warnings: tuple = ()
 
@@ -144,7 +139,6 @@ def fit(train, spec):
         medians=medians,
         chains=chains,
         incomplete_columns=incomplete,
-        fallback_columns=frozenset(fallback_columns),
         group_fallback=frozenset(group_fallback),
         warnings=tuple(warnings),
     )
@@ -206,5 +200,4 @@ def transform(fitted, data):
     indicators = None
     if spec.append_indicators:
         indicators = (~data.mask.observed).astype(float)
-    return ImputationResult(completed, indicators_appended=spec.append_indicators,
-                            indicator_columns=indicators)
+    return ImputationResult(completed, indicator_columns=indicators)

@@ -43,8 +43,6 @@ class DrawModel:
 class FittedModel:
     draws: tuple                # one DrawModel per imputation draw
     penalty: float
-    n_raw_features: int
-    n_features: int
 
     @property
     def n_draws(self):
@@ -173,7 +171,6 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     spec = spec or LogisticSpec()
     y = np.asarray(train_outcome, dtype=float)
     n_raw = train_result.completed[0].shape[1]
-    n_features = train_result.features(0).shape[1]
     if y.shape[0] != train_result.completed[0].shape[0]:
         raise ConfigurationError("outcome length must match the training rows")
 
@@ -201,8 +198,7 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
             if best is None or score > best[0] + 1e-12:
                 best = (score, penalty, draws)
         _, penalty, draws = best
-    return FittedModel(draws=tuple(draws), penalty=float(penalty),
-                       n_raw_features=n_raw, n_features=n_features)
+    return FittedModel(draws=tuple(draws), penalty=float(penalty))
 
 
 def predict(model, result):
@@ -211,7 +207,7 @@ def predict(model, result):
     Draw counts must match, or the data may carry a single draw that is then
     scored by every per-draw model (broadcast).
     """
-    if result.features(0).shape[1] != model.n_features:
+    if result.n_features != model.draws[0].weights.size:
         raise ConfigurationError("feature count differs from the fitted model")
     if result.n_draws not in (1, model.n_draws):
         raise ConfigurationError(

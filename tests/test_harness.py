@@ -83,6 +83,19 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     # int() truncated these to 2 draws or iterations
     ("imputers: [{strategy: mice, mice_draws: 2.7}]", "imputers[0]"),
     ("imputers: [{strategy: mice, mice_iterations: 2.7}]", "imputers[0]"),
+    # csv was checked by nothing: a bare IndexError, a bare ValueError, open(5) read fd 5
+    ("csv: {path: data.csv, fractions: [0.8, 0.2]}", "csv"),
+    ('csv: {path: data.csv, fractions: ["a", 0.1, 0.1]}', "csv"),
+    ("csv: {path: 5}", "csv"),
+    ("csv: notadict", "csv"),
+    # loaded, then failed only after the cohort was generated
+    ("split: {train: 0.5}", "split"),
+    # a non-mapping entry escaped as AttributeError
+    ("imputers: [5]", "imputers[0]"),
+    ("scenarios: [5]", "scenarios[0]"),
+    ("population: {negative_cluster: 5}", "population.negative_cluster"),
+    # bool("false") is True: the string ran the correlated generator
+    ('population: {correlate_x2_with_x1: "false"}', "population"),
 ])
 def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     path = tmp_path / "run.yaml"
@@ -104,12 +117,36 @@ def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     ("imputers: [{strategy: mice, mice_draw: 2}]", "imputers[0] must be", "mice_draw"),
     ("population: {negative_cluster: {mean: [0, 0], variance: 0.1, varience: 2}}",
      "population.negative_cluster must be", "varience"),
+    ("csv: {path: data.csv, group_colum: outcome}", "csv must be", "group_colum"),
 ])
 def test_load_config_rejects_misspelled_nested_keys(tmp_path, text, key, misspelled):
     path = tmp_path / "run.yaml"
     path.write_text(text + "\n")
     with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)}.*{misspelled}"):
         harness.load_config(str(path))
+
+
+def test_readme_example_config_loads(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as handle:
+        blocks = re.findall(r"```yaml\n(.*?)```", handle.read(), re.S)
+    assert blocks
+    for block in blocks:
+        path = tmp_path / "run.yaml"
+        path.write_text(block)
+        harness.load_config(str(path))
+
+
+def test_runners_check_the_config_they_are_handed(tmp_path):
+    config = _small_config(csv={"path": str(tmp_path / "absent.csv"), "fractions": [0.8, 0.2]})
+    with pytest.raises(ConfigurationError, match="^csv must be"):
+        harness.run_csv_audit(config)
+    with pytest.raises(ConfigurationError, match="^csv must be"):
+        harness._simulate_repetition(config, 0)
+    with pytest.raises(ConfigurationError, match="csv.path must be set"):
+        harness.run_csv_audit(_small_config(csv={"group_column": "g"}))
+    plan = harness._plan(_small_config())
+    specs = [plan["population"], plan["split"], *plan["scenarios"], *plan["imputers"]]
+    assert all(spec.seed == 0 for spec in specs)     # the runners stamp the seeds
 
 
 def test_load_config_accepts_numeric_text_and_defaults(tmp_path):

@@ -130,10 +130,9 @@ def test_indicator_columns_mark_missing_cells():
     spec = impute.ImputerSpec("group_mice", append_indicators=True,
                               mice_draws=2, mice_iterations=2)
     result = impute.transform(impute.fit(data, spec), data)
-    assert result.indicators_appended
     assert np.array_equal(result.indicator_columns,
                           (~data.mask.observed).astype(float))
-    assert result.features(0).shape[1] == 6
+    assert result.features(0).shape[1] == result.n_features == 6
 
 
 def test_transform_is_deterministic_for_fixed_seed():

@@ -9,6 +9,7 @@ that byte-identity checks cover.
 
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -80,14 +81,15 @@ def _close(a, b, tolerance=1e-12):
 def test_run_cell_group_relabel_after_masking(scenario):
     config = harness.load_config()
     config["population"].update(n_majority=3000, n_marginalised=600)
-    cohort = generate(harness._population_spec(config, 5))
+    plan = harness._plan(config)
+    cohort = generate(replace(plan["population"], seed=5))
     # S1 masks by group, so the groups are relabelled after masking.
     mask = apply_scenario(cohort, ScenarioSpec(scenario, seed=6))
     partitions = split(cohort, mask, SplitSpec(0.8, 0.0, 0.2, 7))
     flipped = tuple(None if p is None else _relabelled(p) for p in partitions)
-    logistic = harness._logistic_spec(config)
-    for index, entry in enumerate(config["imputers"]):
-        spec = harness._imputer_spec(entry, 8 + index)
+    logistic = plan["model"]
+    for index, spec in enumerate(plan["imputers"]):
+        spec = replace(spec, seed=8 + index)
         base, error = harness._run_cell(spec, logistic, partitions, config["capacities"], 1)
         assert error is None, error
         other, error = harness._run_cell(spec, logistic, flipped, config["capacities"], 1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,7 @@ def test_indicator_columns_are_not_standardised():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((150, 2))
     ind = (rng.random((150, 2)) < 0.2).astype(float)
-    result = ImputationResult((X,), indicators_appended=True, indicator_columns=ind)
+    result = ImputationResult((X,), indicator_columns=ind)
     y = (X[:, 0] > 0).astype(int)
     model = predict.train(result, y, LogisticSpec(fixed_penalty=1.0))
     dm = model.draws[0]
@@ -237,8 +239,9 @@ def _mice_train_cell():
     """The train partition of a 20,200-row S1 cohort, completed by 10 MICE draws."""
     config = harness.load_config(
         overrides={"population": {"n_majority": 20000, "n_marginalised": 200}})
-    cohort = generate(harness._population_spec(config, 1))
-    mask = apply_scenario(cohort, harness._scenario_spec("S1", 1, 2))
+    plan = harness._plan(config)
+    cohort = generate(replace(plan["population"], seed=1))
+    mask = apply_scenario(cohort, replace(plan["scenarios"][0], seed=2))    # S1
     train = split(cohort, mask, SplitSpec(0.8, 0.0, 0.2, 3))[0]
     fitted = impute.fit(train, impute.ImputerSpec("mice", seed=4))
     return impute.transform(fitted, train), train.outcome
