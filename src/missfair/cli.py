@@ -12,6 +12,17 @@ def _add_common(parser):
     parser.add_argument("--out", help="override the output directory")
 
 
+def _positive(kind):
+    """argparse type: a number of the given kind that is greater than zero."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__      # argparse says "invalid int value: ..."
+    return parse
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="missfair",
@@ -34,10 +45,10 @@ def main(argv=None):
 
     p = sub.add_parser("validate-theorems",
                        help="Monte Carlo check of the closed-form error formulas")
-    p.add_argument("--cases", type=int, default=20)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--cases", type=_positive(int), default=20)
+    p.add_argument("--samples", type=_positive(int), default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=0.02)
+    p.add_argument("--tolerance", type=_positive(float), default=0.02)
 
     p = sub.add_parser("make-standin", help="write a stand-in CSV for audit-csv")
     p.add_argument("--out", required=True, help="destination CSV path")

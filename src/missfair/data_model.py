@@ -28,8 +28,8 @@ class Cohort:
 
     def __post_init__(self):
         X = np.asarray(self.covariates, dtype=float)
-        g = np.asarray(self.group, dtype=np.int8)
-        y = np.asarray(self.outcome, dtype=np.int8)
+        g = np.asarray(self.group)
+        y = np.asarray(self.outcome)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ConfigurationError("covariates must be a non-empty 2-D matrix")
         n = X.shape[0]
@@ -37,11 +37,12 @@ class Cohort:
             raise ConfigurationError("group and outcome must have one entry per row")
         if not np.isfinite(X).all():
             raise ConfigurationError("ground-truth covariates must be complete and finite")
-        if not np.isin(g, (0, 1)).all() or not np.isin(y, (0, 1)).all():
+        # Checked on the values as given: the int8 cast would turn 1.7 into 1 and 256 into 0.
+        if not (((g == 0) | (g == 1)).all() and ((y == 0) | (y == 1)).all()):
             raise ConfigurationError("group and outcome must be binary")
         object.__setattr__(self, "covariates", _freeze(X))
-        object.__setattr__(self, "group", _freeze(g))
-        object.__setattr__(self, "outcome", _freeze(y))
+        object.__setattr__(self, "group", _freeze(g.astype(np.int8, copy=False)))
+        object.__setattr__(self, "outcome", _freeze(y.astype(np.int8, copy=False)))
 
     @property
     def n(self):

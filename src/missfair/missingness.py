@@ -100,15 +100,24 @@ def apply_calibrated(cohort, spec):
     j = spec.target_covariate
     x = cohort.covariates[:, j]
     rng = np.random.default_rng(spec.seed)
-    observed = np.ones((cohort.n, cohort.d), dtype=bool)
+    column = np.empty(cohort.n, dtype=bool)
     for g in (0, 1):
         rows = cohort.group == g
         z_alpha, r = latent_threshold(spec.alpha[g], spec.rho[g])
-        xg = x[rows]
+        xg = x[rows]                        # a copy: standardised in place below
         sd = xg.std()
-        x_std = (xg - xg.mean()) / sd if sd > 0 else np.zeros_like(xg)
-        z = r * x_std + math.sqrt(1.0 - r * r) * rng.standard_normal(xg.size)
-        observed[rows, j] = z <= z_alpha
+        if sd > 0:
+            xg -= xg.mean()
+            xg /= sd
+        else:
+            xg.fill(0.0)
+        z = rng.standard_normal(xg.size)
+        z *= math.sqrt(1.0 - r * r)
+        xg *= r
+        z += xg                             # r * x_std + sqrt(1 - r^2) * noise
+        column[rows] = z <= z_alpha
+    observed = np.ones((cohort.n, cohort.d), dtype=bool)
+    observed[:, j] = column
     return ObservationMask(observed)
 
 

@@ -24,6 +24,26 @@ def test_cohort_validates_shapes_and_values():
         Cohort(np.zeros((3, 2)), np.array([0, 1, 2]), np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [1.7, 256, -1])
+@pytest.mark.parametrize("column", ["group", "outcome"])
+def test_cohort_rejects_non_binary_values_before_the_int8_cast(column, bad):
+    # the int8 cast turned 1.7 into 1 and 256 into 0, so both used to pass
+    columns = {"group": np.zeros(2), "outcome": np.zeros(2)}
+    columns[column] = np.array([0, bad])
+    with pytest.raises(ConfigurationError, match="binary"):
+        Cohort(np.zeros((2, 1)), **columns)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([False, True]), np.array([0, 1], dtype=np.int8),
+    np.array([0, 1], dtype=np.int64), np.array([0.0, 1.0])])
+def test_cohort_accepts_binary_values_of_any_dtype(values):
+    c = Cohort(np.zeros((2, 1)), values, values)
+    for column in (c.group, c.outcome):
+        assert column.dtype == np.int8
+        assert column.tolist() == [0, 1]
+
+
 def test_cohort_arrays_are_read_only():
     c = _cohort()
     with pytest.raises(ValueError):

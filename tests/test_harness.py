@@ -330,3 +330,16 @@ def test_theorem_validation_runs_small():
     lines, ok = harness.run_theorem_validation(n_cases=2, n=150000, seed=0, tolerance=0.1)
     assert ok
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("args", [
+    ["--cases", "0"],           # printed the header and "all within tolerance"
+    ["--samples", "0"],         # ended in a ConfigurationError traceback
+    ["--tolerance", "0"],
+    ["--tolerance", "-0.5"],
+])
+def test_validate_theorems_rejects_non_positive_arguments(capsys, args):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["validate-theorems", *args])
+    assert exit_info.value.code == 2
+    assert "must be greater than 0" in capsys.readouterr().err

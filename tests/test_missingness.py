@@ -6,7 +6,7 @@ import pytest
 from missfair.data_model import Cohort, ConfigurationError
 from missfair.missingness import (CalibratedMechanismSpec, InfeasibleCorrelationError,
                                   ScenarioSpec, apply_calibrated, apply_scenario,
-                                  describe, rho_feasible_bound)
+                                  describe, latent_threshold, rho_feasible_bound)
 
 
 def _cohort(n=40000, seed=0):
@@ -69,6 +69,70 @@ def test_calibrated_hits_alpha_and_rho_targets():
     assert d.per_group[1].alpha == pytest.approx(0.6, abs=0.01)
     assert d.per_group[0].rho == pytest.approx(0.2, abs=0.02)
     assert d.per_group[1].rho == pytest.approx(-0.3, abs=0.02)
+
+
+def _calibrated_reference(cohort, spec):
+    """The mechanism written out with fresh temporaries and a 2-D boolean scatter."""
+    j = spec.target_covariate
+    x = cohort.covariates[:, j]
+    rng = np.random.default_rng(spec.seed)
+    observed = np.ones((cohort.n, cohort.d), dtype=bool)
+    for g in (0, 1):
+        rows = cohort.group == g
+        z_alpha, r = latent_threshold(spec.alpha[g], spec.rho[g])
+        xg = x[rows]
+        sd = xg.std()
+        x_std = (xg - xg.mean()) / sd if sd > 0 else np.zeros_like(xg)
+        z = r * x_std + math.sqrt(1.0 - r * r) * rng.standard_normal(xg.size)
+        observed[rows, j] = z <= z_alpha
+    return observed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_calibrated_mask_equals_reference_exactly(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(500, 5000))
+    X = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3), (n, 3))
+    g = (rng.random(n) < rng.uniform(0.1, 0.5)).astype(int)     # interleaved groups
+    c = Cohort(X, g, np.zeros(n, dtype=int))
+    alpha = tuple(rng.uniform(0.2, 0.9, 2))
+    rho = tuple(rng.uniform(-0.9, 0.9) * rho_feasible_bound(a) for a in alpha)
+    spec = CalibratedMechanismSpec(alpha=alpha, rho=rho, seed=int(rng.integers(2**63)))
+    assert np.array_equal(apply_calibrated(c, spec).observed, _calibrated_reference(c, spec))
+
+
+def test_calibrated_zero_spread_group_is_pure_noise():
+    rng = np.random.default_rng(11)
+    n = 3000
+    X = rng.standard_normal((n, 2))
+    g = (rng.random(n) < 0.3).astype(int)
+    X[g == 1, 1] = 4.0                          # the marginalised values have no spread
+    c = Cohort(X, g, np.zeros(n, dtype=int))
+    spec = CalibratedMechanismSpec(alpha=(0.7, 0.4), rho=(0.3, -0.4), seed=5)
+    observed = apply_calibrated(c, spec).observed
+    assert np.array_equal(observed, _calibrated_reference(c, spec))
+    assert observed[:, 0].all()
+    hidden = ~observed[g == 1, 1]
+    assert 0 < hidden.sum() < hidden.size
+
+
+def test_calibrated_mask_follows_rows_when_groups_interleave():
+    # Moving rows while keeping each group's internal order moves the mask with them.
+    rng = np.random.default_rng(3)
+    n, n_g = 4000, 900
+    X = rng.standard_normal((n, 2))
+    g = np.repeat([0, 1], [n - n_g, n_g])
+    spec = CalibratedMechanismSpec(alpha=(0.75, 0.55), rho=(-0.2, 0.35), seed=9)
+    contiguous = apply_calibrated(Cohort(X, g, np.zeros(n, dtype=int)), spec).observed
+
+    g_mixed = np.zeros(n, dtype=int)
+    g_mixed[rng.choice(n, n_g, replace=False)] = 1
+    order = np.concatenate([np.flatnonzero(g_mixed == 0), np.flatnonzero(g_mixed == 1)])
+    X_mixed = np.empty_like(X)
+    X_mixed[order] = X
+    mixed = apply_calibrated(Cohort(X_mixed, g_mixed, np.zeros(n, dtype=int)), spec).observed
+    assert np.array_equal(mixed[order], contiguous)
+    assert not np.array_equal(mixed, contiguous)
 
 
 def test_infeasible_rho_rejected_at_construction():

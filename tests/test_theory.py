@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from missfair import theory
-from missfair.missingness import InfeasibleCorrelationError, rho_feasible_bound
+from missfair.data_model import Cohort
+from missfair.missingness import (CalibratedMechanismSpec, InfeasibleCorrelationError,
+                                  apply_calibrated, rho_feasible_bound)
 from missfair.theory import (AssumptionError, InconsistentInputsError,
                              SingularityError, TheoremInputs)
 
@@ -242,3 +244,40 @@ def test_monte_carlo_validation_close_at_moderate_size():
     for key in ("g", "ng"):
         assert report[key].rel_error_group < 0.05
         assert report[key].rel_error_pop < 0.05
+
+
+def _monte_carlo_reference(inputs, n, seed):
+    """monte_carlo_validate's empirical errors from concatenated draws and row masks."""
+    rng = np.random.default_rng(seed)
+    n_g = int(round(inputs.r_g * n))
+    n_ng = n - n_g
+    x_ng = inputs.mu_ng + inputs.sigma_ng * rng.standard_normal(n_ng)
+    x_g = inputs.mu_g + inputs.sigma_g * rng.standard_normal(n_g)
+    x = np.concatenate([x_ng, x_g])
+    group = np.concatenate([np.zeros(n_ng, dtype=np.int8), np.ones(n_g, dtype=np.int8)])
+    mask = apply_calibrated(Cohort(x[:, None], group, np.zeros(n, dtype=np.int8)),
+                            CalibratedMechanismSpec(
+                                alpha=(inputs.alpha_ng, inputs.alpha_g),
+                                rho=(inputs.rho_ng, inputs.rho_g),
+                                target_covariate=0, seed=int(rng.integers(2**63))))
+    o = mask.observed[:, 0]
+    mu_obs_pop = x[o].mean()
+    empirical = {}
+    for key, g in (("g", 1), ("ng", 0)):
+        rows = group == g
+        missing = rows & ~o
+        mu_obs_group = x[rows & o].mean()
+        empirical[key] = (float(((x[missing] - mu_obs_group) ** 2).mean()),
+                          float(((x[missing] - mu_obs_pop) ** 2).mean()))
+    return empirical
+
+
+@pytest.mark.parametrize("seed", [3, 2024])
+def test_monte_carlo_validation_equals_reference_exactly(seed):
+    inputs = theory.latent_threshold_inputs(
+        alpha_g=0.65, rho_g=-0.3, alpha_ng=0.85, rho_ng=0.15, r_g=0.3,
+        mu_g=0.4, mu_ng=-0.2, sigma_g=1.3, sigma_ng=0.7)
+    report = theory.monte_carlo_validate(inputs, n=200_000, seed=seed)
+    reference = _monte_carlo_reference(inputs, n=200_000, seed=seed)
+    for key in ("g", "ng"):
+        assert (report[key].empirical_group, report[key].empirical_pop) == reference[key]
