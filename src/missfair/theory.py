@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_model import Cohort
+from .data_model import Cohort, ConfigurationError
 from .linalg_stat import normal_cdf, normal_pdf
 from .missingness import CalibratedMechanismSpec, apply_calibrated, latent_threshold
 
@@ -181,8 +181,14 @@ def theorem3_predicate(inputs):
     return f_ok & (((e_lhs > mu_diff) & (h_lhs > rhs)) | ((e_lhs < mu_diff) & (h_lhs < rhs)))
 
 
+REGION_FIELDS = np.dtype([
+    ("rho_g", float), ("rho_ng", float), ("delta_pop", float), ("delta_group", float),
+    ("diff", float), ("theorem3", int), ("dotted", int), ("feasible", int)])
+
+
 def region_scan(base, rho_g_values, rho_ng_values):
-    """Report rows of the gap difference over a (rho_g, rho_ng) grid around base inputs.
+    """The gap difference over a (rho_g, rho_ng) grid around base inputs, as one
+    structured array of REGION_FIELDS with one record per cell.
 
     The observed means stay at the base's. rho_g varies fastest. A cell with
     |rho| > 1 is infeasible: nan gaps and 0 flags. theorem3 is 0 everywhere when
@@ -199,15 +205,14 @@ def region_scan(base, rho_g_values, rho_ng_values):
         theorem3 = theorem3_predicate(inputs) & feasible
     except AssumptionError:
         theorem3 = np.zeros_like(feasible)
-    columns = {
-        "rho_g": rho_g, "rho_ng": rho_ng,
-        "delta_pop": delta_pop, "delta_group": delta_group, "diff": delta_pop - delta_group,
-        "theorem3": theorem3.astype(int),
-        "dotted": (np.abs(delta_pop) < np.abs(delta_group)).astype(int),
-        "feasible": feasible.astype(int),
-    }
-    return tuple(dict(zip(columns, row))
-                 for row in zip(*(column.tolist() for column in columns.values())))
+    cells = np.empty(rho_g.size, dtype=REGION_FIELDS)
+    cells["rho_g"], cells["rho_ng"] = rho_g, rho_ng
+    cells["delta_pop"], cells["delta_group"] = delta_pop, delta_group
+    cells["diff"] = delta_pop - delta_group
+    cells["theorem3"] = theorem3
+    cells["dotted"] = np.abs(delta_pop) < np.abs(delta_group)
+    cells["feasible"] = feasible
+    return cells
 
 
 def latent_threshold_unobserved_variance(alpha, rho, sigma):
@@ -262,6 +267,10 @@ def monte_carlo_validate(inputs, n, seed):
     rng = np.random.default_rng(seed)
     n_g = int(round(inputs.r_g * n))
     n_ng = n - n_g
+    for name, size in (("marginalised", n_g), ("majority", n_ng)):
+        if size == 0:
+            raise ConfigurationError(
+                f"n={n} at r_g={inputs.r_g} leaves the {name} group no rows")
     # Majority rows first, then marginalised rows, each block drawn in place.
     x = np.empty(n)
     for block, mu, sigma in ((x[:n_ng], inputs.mu_ng, inputs.sigma_ng),
@@ -284,16 +293,21 @@ def monte_carlo_validate(inputs, n, seed):
     # and is faster than boolean indexing for a scattered mask.
     o = mask.observed[:, 0]
     observed, missing = np.compress(o, x), np.compress(~o, x)
-    mu_obs_pop = observed.mean()
     n_obs_ng = np.count_nonzero(o[:n_ng])
     n_miss_ng = n_ng - n_obs_ng
+    slices = (("g", "marginalised", observed[n_obs_ng:], missing[n_miss_ng:]),
+              ("ng", "majority", observed[:n_obs_ng], missing[:n_miss_ng]))
+    for _, name, obs, miss in slices:
+        for kind, values in (("observed", obs), ("missing", miss)):
+            if values.size == 0:
+                raise ConfigurationError(
+                    f"n={n} leaves the {name} group no {kind} values; use more samples")
+    mu_obs_pop = observed.mean()
     report = {}
-    for key, marg, obs, miss in (
-            ("g", True, observed[n_obs_ng:], missing[n_miss_ng:]),
-            ("ng", False, observed[:n_obs_ng], missing[:n_miss_ng])):
+    for key, _, obs, miss in slices:
         mu_obs_group = obs.mean()
         emp_group = float(((miss - mu_obs_group) ** 2).mean())
         emp_pop = float(((miss - mu_obs_pop) ** 2).mean())
-        closed_group, closed_pop = reconstruction_closed_form(consistent, marginalised=marg)
+        closed_group, closed_pop = reconstruction_closed_form(consistent, marginalised=key == "g")
         report[key] = GroupValidation(closed_group, closed_pop, emp_group, emp_pop)
     return report

@@ -326,6 +326,41 @@ def test_region_scan_report(tmp_path):
     assert len(parsed) == 441
 
 
+def _per_value_write(rows, path):
+    """The writer Report.write replaced: every value through one format call."""
+    def format_value(value):
+        return format(value, ".10g") if isinstance(value, float) else value
+    with open(path, "w", newline="") as handle:
+        fields = list(rows[0])
+        writer = csv.writer(handle)
+        writer.writerow(fields)
+        writer.writerows([format_value(row[k]) for k in fields] for row in rows)
+
+
+def test_report_write_matches_the_per_value_writer(tmp_path):
+    floats = [math.nan, -0.0, 0.0, 1e-17, 0.1, -0.0, 1e-17, math.nan, 0.0, 2.5e300]
+    columns = {
+        "listed": floats,
+        "array": np.array(floats[::-1]),
+        "count": np.arange(len(floats)) - 3,
+        "n": list(range(len(floats))),
+        "text": ['a, "quoted" cell', "", "plain", "x,y", '"', "", "a", "b", "c", "d"],
+        "mixed": [1.5, 2, "s", None, -0.0, 0.0, math.nan, 1e-17, True, 3],
+    }
+    report = harness.Report(columns, {"mode": "test"})
+    path = report.write(str(tmp_path / "columns"))
+    _per_value_write(report.rows, str(tmp_path / "reference.csv"))
+    with open(path, "rb") as ours, open(tmp_path / "reference.csv", "rb") as reference:
+        assert ours.read() == reference.read()
+    assert report.rows[1]["count"] == -2 and type(report.rows[1]["count"]) is int
+
+    empty = tmp_path / "empty"
+    harness.Report({}, {"mode": "test"}).write(str(empty))
+    harness.Report({"x": np.array([])}, {"mode": "test"}).write(str(tmp_path / "no-rows"))
+    assert not (empty / "report.csv").exists() and (empty / "manifest.json").exists()
+    assert not (tmp_path / "no-rows" / "report.csv").exists()
+
+
 def test_theorem_validation_runs_small():
     lines, ok = harness.run_theorem_validation(n_cases=2, n=150000, seed=0, tolerance=0.1)
     assert ok

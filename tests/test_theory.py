@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from missfair import theory
-from missfair.data_model import Cohort
+from missfair import harness, theory
+from missfair.data_model import Cohort, ConfigurationError
 from missfair.missingness import (CalibratedMechanismSpec, InfeasibleCorrelationError,
                                   apply_calibrated, rho_feasible_bound)
 from missfair.theory import (AssumptionError, InconsistentInputsError,
@@ -236,6 +237,42 @@ def test_region_scan_matches_scalar_evaluation(mu_obs_g):
             assert c[key] == pytest.approx(value, abs=1e-12, nan_ok=True)
 
 
+REGION_HEADER = ["rho_g", "rho_ng", "delta_pop", "delta_group", "diff",
+                 "theorem3", "dotted", "feasible"]
+
+
+def _exact(row):
+    """A row's (key, type, value) triples with nan spelled out, so rows compare exactly."""
+    return [(k, type(v), "nan" if v != v else v) for k, v in row.items()]
+
+
+def test_region_scan_report_contract(tmp_path):
+    config = harness.load_config()
+    config["region"].update(steps=13, rho_min=-1.2, rho_max=1.2)   # |rho| > 1 cells too
+    base, grid = harness._plan(config)["region"]
+    assert len(theory.region_scan(base, grid, grid[:5])) == len(grid) * 5
+    cells = theory.region_scan(base, grid, grid)
+    assert list(cells.dtype.names) == REGION_HEADER
+
+    report = harness.run_region_scan(config)
+    assert list(report.columns) == REGION_HEADER
+    expected = []
+    for rho_ng in grid.tolist():
+        for rho_g in grid.tolist():
+            feasible, delta_group, delta_pop, t3 = _scalar_region_cell(base, rho_g, rho_ng)
+            expected.append({
+                "rho_g": rho_g, "rho_ng": rho_ng, "delta_pop": delta_pop,
+                "delta_group": delta_group, "diff": delta_pop - delta_group, "theorem3": t3,
+                "dotted": int(abs(delta_pop) < abs(delta_group)), "feasible": feasible})
+    rows = report.rows
+    assert len(rows) == len(expected)
+    assert {row["feasible"] for row in rows} == {0, 1} and any(row["theorem3"] for row in rows)
+    for row, want in zip(rows, expected):
+        assert _exact(row) == _exact(want)
+    with open(report.write(str(tmp_path))) as handle:
+        assert handle.readline() == ",".join(REGION_HEADER) + "\n"
+
+
 def test_monte_carlo_validation_close_at_moderate_size():
     inputs = theory.latent_threshold_inputs(
         alpha_g=0.7, rho_g=0.2, alpha_ng=0.8, rho_ng=-0.1, r_g=0.25,
@@ -270,6 +307,19 @@ def _monte_carlo_reference(inputs, n, seed):
         empirical[key] = (float(((x[missing] - mu_obs_group) ** 2).mean()),
                           float(((x[missing] - mu_obs_pop) ** 2).mean()))
     return empirical
+
+
+@pytest.mark.parametrize("n, name", [(1, "marginalised"), (3, "group")])
+def test_monte_carlo_validation_rejects_too_few_samples(n, name):
+    # n=1 leaves the marginalised block empty (round(0.25) == 0); at n=3 the one
+    # marginalised row is either observed or missing, so a group slice is empty.
+    inputs = theory.latent_threshold_inputs(
+        alpha_g=0.7, rho_g=0.2, alpha_ng=0.8, rho_ng=-0.1, r_g=0.25,
+        mu_g=1.0, mu_ng=0.0, sigma_g=0.5, sigma_ng=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=f"n={n} .*{name}"):
+            theory.monte_carlo_validate(inputs, n=n, seed=0)
 
 
 @pytest.mark.parametrize("seed", [3, 2024])
