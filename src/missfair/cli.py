@@ -4,6 +4,7 @@ import argparse
 import sys
 
 from . import harness
+from .data_model import ConfigurationError
 
 
 def _add_common(parser):
@@ -55,33 +56,35 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
+    try:
+        if args.command == "validate-theorems":
+            lines, ok = harness.run_theorem_validation(
+                n_cases=args.cases, n=args.samples, seed=args.seed, tolerance=args.tolerance)
+            print("\n".join(lines))
+            print("all within tolerance" if ok else "TOLERANCE EXCEEDED")
+            return 0 if ok else 1
 
-    if args.command == "validate-theorems":
-        lines, ok = harness.run_theorem_validation(
-            n_cases=args.cases, n=args.samples, seed=args.seed, tolerance=args.tolerance)
-        print("\n".join(lines))
-        print("all within tolerance" if ok else "TOLERANCE EXCEEDED")
-        return 0 if ok else 1
+        if args.command == "make-standin":
+            print(f"wrote {harness.make_standin(args.out, seed=args.seed)}")
+            return 0
 
-    if args.command == "make-standin":
-        print(f"wrote {harness.make_standin(args.out, seed=args.seed)}")
+        overrides = {"seed": args.seed, "output_dir": args.out}
+        if args.command == "simulate":
+            overrides.update(repetitions=args.repetitions, threads=args.threads)
+        config = harness.load_config(args.config, overrides)
+        if args.command == "audit-csv":
+            csv_spec = dict(config.get("csv") or {})
+            for key, value in (("path", args.input), ("group_column", args.group_column),
+                               ("outcome_column", args.outcome_column)):
+                if value:
+                    csv_spec[key] = value
+            config["csv"] = csv_spec
+        run = {"simulate": harness.run_simulation, "audit-csv": harness.run_csv_audit,
+               "region-scan": harness.run_region_scan}[args.command]
+        print(f"wrote {run(config).write(config['output_dir'])}")
         return 0
-
-    overrides = {"seed": args.seed, "output_dir": args.out}
-    if args.command == "simulate":
-        overrides.update(repetitions=args.repetitions, threads=args.threads)
-    config = harness.load_config(args.config, overrides)
-    if args.command == "audit-csv":
-        csv_spec = dict(config.get("csv") or {})
-        for key, value in (("path", args.input), ("group_column", args.group_column),
-                           ("outcome_column", args.outcome_column)):
-            if value:
-                csv_spec[key] = value
-        config["csv"] = csv_spec
-    run = {"simulate": harness.run_simulation, "audit-csv": harness.run_csv_audit,
-           "region-scan": harness.run_region_scan}[args.command]
-    print(f"wrote {run(config).write(config['output_dir'])}")
-    return 0
+    except ConfigurationError as exc:   # a usage error like argparse's own: one line, exit 2
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -267,9 +267,10 @@ def _run_cell(imputer_spec, logistic_spec, partitions, capacities, target=None,
               resamples=0, bootstrap_seed=0):
     """Fit on train, complete each partition once, train, score test; (values, error).
 
-    `values` maps (metric, group) to a test-row metric, or to (value,
-    BootstrapSummary) with `resamples`; `target` adds its reconstruction error.
-    A domain error contains the cell as (None, message); others propagate.
+    `values` maps (metric, group) to a test-row metric, or to (value, Summary)
+    with `resamples`; `target` adds its reconstruction error. A domain error
+    contains the cell as (None, message); others propagate, as does a defined
+    gap that is not marginalised minus majority (RuntimeError).
     """
     train, tune, test = partitions
     try:
@@ -284,6 +285,11 @@ def _run_cell(imputer_spec, logistic_spec, partitions, capacities, target=None,
         if target is not None:
             recon = metrics.reconstruction_error(done, target)
             values.update({("reconstruction", g): getattr(recon, g) for g in metrics.GROUPS})
+        wrong = sorted(metric for (metric, group), gap in values.items()
+                       if group == "gap" and not math.isnan(gap)
+                       and gap != values[(metric, "marginalised")] - values[(metric, "majority")])
+        if wrong:
+            raise RuntimeError(f"gap sign-convention audit failed: {imputer_spec.label()} {wrong}")
         del done    # scored: free the completions before resampling
         if resamples:
             summaries = metrics.bootstrap(
@@ -368,44 +374,42 @@ def _row(cell, n_repetitions, error="", metric="", group="", mean=math.nan, std=
 
 
 def _aggregate(results, repetitions):
-    """Long-format rows from per-repetition (records, errors); nan values are skipped."""
-    collected, messages = {}, {}
-    for records, errors in results:
+    """Long-format rows, each summarised from one row of a (report rows x repetitions)
+    array of the records, nan where a cell errored or a metric is undefined."""
+    keys = sorted({(cell, *key) for records, _ in results
+                   for cell, values in records.items() for key in values})
+    index = {key: i for i, key in enumerate(keys)}
+    table = np.full((len(keys), repetitions), math.nan)
+    messages = {}
+    for rep, (records, errors) in enumerate(results):
         for cell, values in records.items():
             for (metric, group), value in values.items():
-                collected.setdefault((cell, metric, group), []).append(value)
+                table[index[(cell, metric, group)], rep] = value
         for cell, message in errors.items():
             messages.setdefault(cell, set()).add(message)
     messages = {cell: "; ".join(sorted(texts)) for cell, texts in messages.items()}
-    rows = []
-    for (cell, metric, group), values in sorted(collected.items()):
-        arr = np.asarray(values, dtype=float)
-        ok = arr[~np.isnan(arr)]
-        rows.append(_row(
-            cell, repetitions, messages.get(cell, ""), metric, group,
-            mean=float(ok.mean()) if ok.size else math.nan,
-            std=float(ok.std(ddof=1)) if ok.size > 1 else (0.0 if ok.size else math.nan),
-            lower=float(np.quantile(ok, 0.025)) if ok.size else math.nan,
-            upper=float(np.quantile(ok, 0.975)) if ok.size else math.nan,
-            n_values=int(ok.size)))
-    for cell, message in sorted(messages.items()):
-        if not any(r["scenario"] == cell[0] and r["imputer"] == cell[1] for r in rows):
-            rows.append(_row(cell, repetitions, message))
-    return rows
+    rows = [_row(cell, repetitions, messages.get(cell, ""), metric, group,
+                 *metrics.summarise(values)[:5])
+            for (cell, metric, group), values in zip(keys, table)]
+    unscored = sorted(messages.keys() - {cell for cell, _, _ in keys})
+    return rows + [_row(cell, repetitions, messages[cell]) for cell in unscored]
 
 
 def audit_sign_convention(rows, tolerance=1e-9):
-    """Check every gap row equals marginalised minus majority; returns problems."""
-    table = {(r["scenario"], r["imputer"], r["metric"], r["group"]): r["mean"] for r in rows}
+    """Check every gap row's mean equals marginalised minus majority; returns problems.
+
+    Means are compared where the three rows hold equally many values: a gap is
+    defined exactly where both groups are, so equal counts are one set of draws.
+    """
+    table = {(r["scenario"], r["imputer"], r["metric"], r["group"]): (r["mean"], r["n_values"])
+             for r in rows}
     problems = []
-    for (scenario, imputer, metric, group), value in table.items():
-        if group != "gap":
-            continue
+    for (scenario, imputer, metric, group), (value, count) in table.items():
         marg = table.get((scenario, imputer, metric, "marginalised"))
         maj = table.get((scenario, imputer, metric, "majority"))
-        if marg is None or maj is None or math.isnan(marg) or math.isnan(maj):
+        if group != "gap" or marg is None or maj is None or not count == marg[1] == maj[1]:
             continue
-        if not math.isnan(value) and abs(value - (marg - maj)) > tolerance:
+        if not math.isnan(value) and abs(value - (marg[0] - maj[0])) > tolerance:
             problems.append((scenario, imputer, metric))
     return problems
 
@@ -517,8 +521,7 @@ def run_csv_audit(config):
             rows.append(_row(cell, resamples, error))
             continue
         for (metric, group), (point, boot) in sorted(values.items()):
-            rows.append(_row(cell, resamples, "", metric, group, point, boot.std,
-                             boot.lower, boot.upper, boot.n_effective))
+            rows.append(_row(cell, resamples, "", metric, group, point, *boot[1:5]))
     return _audited_report(rows, {"mode": "audit-csv", "covariates": names,
                                   "config": _manifest_config(config)})
 

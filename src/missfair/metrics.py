@@ -4,6 +4,7 @@ Every gap follows the same sign convention: marginalised value minus majority va
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,45 +193,36 @@ def threshold_metrics(scores, outcomes, group, capacity):
                                 values, f"prioritisation@{capacity:g}"))
 
 
-@dataclass(frozen=True)
-class BootstrapSummary:
-    mean: float
-    std: float
-    lower: float
-    upper: float
-    n_effective: int
-    n_dropped: int
+Summary = namedtuple("Summary", "mean std lower upper n_effective n_dropped")
 
 
-def bootstrap(metric_fn, n_rows, n_resamples=100, seed=0, confidence=0.95):
+def summarise(values):
+    """Summary of one metric's draws, nan values dropped: `std` has ddof 1 (0.0 for one
+    value), `lower` and `upper` are the 2.5% and 97.5% quantiles, all nan for no value."""
+    arr = np.asarray(values, dtype=float)
+    ok = arr[~np.isnan(arr)]
+    if not ok.size:
+        return Summary(*[math.nan] * 4, 0, arr.size)
+    lower, upper = np.quantile(ok, (0.025, 0.975)).tolist()
+    return Summary(float(ok.mean()), float(ok.std(ddof=1)) if ok.size > 1 else 0.0,
+                   lower, upper, ok.size, arr.size - ok.size)
+
+
+def bootstrap(metric_fn, n_rows, n_resamples=100, seed=0):
     """Nonparametric row-resampling bootstrap over a dict-valued metric function.
 
     Each resample draws n_rows row indices with replacement and is passed on as
     its row counts: `metric_fn(counts)` gets the (n_resamples, n_rows) count
-    matrix and returns {name: (n_resamples,) values}. nan values count as
-    undefined and are dropped per field. A field that is undefined in more than
-    half the resamples raises UnreliableBootstrapError.
+    matrix and returns {name: (n_resamples,) values}, summarised as {name: Summary}.
+    A field undefined (nan) in more than half the resamples raises UnreliableBootstrapError.
     """
     rng = np.random.default_rng(seed)
     counts = np.empty((n_resamples, n_rows), dtype=np.intp)
     for r in range(n_resamples):
         counts[r] = np.bincount(rng.integers(0, n_rows, size=n_rows), minlength=n_rows)
-    samples = metric_fn(counts)
-    tail = 0.5 * (1.0 - confidence)
-    out = {}
-    for name, values in samples.items():
-        arr = np.asarray(values, dtype=float)
-        ok = arr[~np.isnan(arr)]
-        dropped = arr.size - ok.size
-        if dropped > arr.size // 2:
+    out = {name: summarise(values) for name, values in metric_fn(counts).items()}
+    for name, summary in out.items():
+        if summary.n_dropped > n_resamples // 2:
             raise UnreliableBootstrapError(
-                f"metric {name!r} undefined in {dropped}/{arr.size} resamples")
-        out[name] = BootstrapSummary(
-            mean=float(ok.mean()),
-            std=float(ok.std(ddof=1)) if ok.size > 1 else 0.0,
-            lower=float(np.quantile(ok, tail)),
-            upper=float(np.quantile(ok, 1.0 - tail)),
-            n_effective=int(ok.size),
-            n_dropped=int(dropped),
-        )
+                f"metric {name!r} undefined in {summary.n_dropped}/{n_resamples} resamples")
     return out

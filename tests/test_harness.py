@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from missfair import cli, harness, impute, predict
+from missfair import cli, harness, impute, metrics, predict
 from missfair.data_model import ConfigurationError
 from missfair.predict import ConvergenceError
 
@@ -103,8 +103,9 @@ def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be"):
         harness.load_config(str(path))
     out = tmp_path / "out"
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(SystemExit) as exit_info:
         cli.main(["simulate", "--config", str(path), "--out", str(out)])
+    assert exit_info.value.code == 2
     assert "wrote" not in capsys.readouterr().out
     assert not out.exists()
 
@@ -172,6 +173,54 @@ def test_simulation_report_structure_and_sign_audit(tmp_path):
         manifest = json.load(handle)
     assert manifest["mode"] == "simulate"
     assert manifest["config"]["repetitions"] == 2
+
+
+def test_small_marginalised_group_reports_its_undefined_repetitions():
+    # About 8 in 20 marginalised test sets hold one class: the run raised in the sign audit.
+    config = _small_config(repetitions=20, scenarios=["S1", "S2", "S3"], capacities=[0.25],
+                           population={**SMALL_POPULATION, "n_majority": 2000,
+                                       "n_marginalised": 12})
+    rows = {(r["scenario"], r["imputer"], r["metric"], r["group"]): r
+            for r in harness.run_simulation(config).rows}
+    short = [key for key, r in rows.items()
+             if key[2:] == ("auc", "marginalised") and r["n_values"] < r["n_repetitions"]]
+    assert short
+    for scenario, imputer, _, _ in short:
+        assert rows[(scenario, imputer, "auc", "gap")]["n_values"] == \
+            rows[(scenario, imputer, "auc", "marginalised")]["n_values"]
+        assert rows[(scenario, imputer, "auc", "majority")]["n_values"] == 20
+    assert harness.audit_sign_convention(list(rows.values())) == []
+
+
+def test_gap_sign_is_checked_on_every_draw(monkeypatch, tmp_path):
+    original = metrics.point_metrics
+
+    def skewed(*args):
+        return {key: value + 0.1 if key[1] == "gap" else value
+                for key, value in original(*args).items()}
+
+    standin = harness.make_standin(str(tmp_path / "standin.csv"), seed=0,
+                                   n_majority=500, n_marginalised=200, n_noise=1)
+    config = _small_config(csv={"path": standin}, bootstrap_resamples=10)
+    monkeypatch.setattr(metrics, "point_metrics", skewed)
+    # with the report-level check off, only the per-draw check can stop the runs
+    monkeypatch.setattr(harness, "audit_sign_convention", lambda rows: [])
+    with pytest.raises(RuntimeError, match="gap sign-convention audit failed"):
+        harness.run_simulation(config)
+    with pytest.raises(RuntimeError, match="gap sign-convention audit failed"):
+        harness.run_csv_audit(config)
+
+
+def test_sign_audit_compares_means_over_one_set_of_draws():
+    def row(group, mean, n_values):
+        return {"scenario": "S1", "imputer": "GroupMean", "metric": "auc", "group": group,
+                "mean": mean, "n_values": n_values}
+
+    assert harness.audit_sign_convention(
+        [row("marginalised", 0.8, 12), row("majority", 0.9, 12), row("gap", 0.0, 12)]) == \
+        [("S1", "GroupMean", "auc")]
+    assert harness.audit_sign_convention(
+        [row("marginalised", 0.8, 12), row("majority", 0.9, 20), row("gap", 0.0, 12)]) == []
 
 
 def test_simulation_deterministic_across_thread_counts(tmp_path):
@@ -368,13 +417,28 @@ def test_theorem_validation_runs_small():
 
 
 @pytest.mark.parametrize("args", [
-    ["--cases", "0"],           # printed the header and "all within tolerance"
-    ["--samples", "0"],         # ended in a ConfigurationError traceback
-    ["--tolerance", "0"],
-    ["--tolerance", "-0.5"],
+    (["--cases", "0"], "must be greater than 0"),   # printed "all within tolerance"
+    (["--samples", "0"], "must be greater than 0"),  # ended in a ConfigurationError traceback
+    (["--tolerance", "0"], "must be greater than 0"),
+    (["--tolerance", "-0.5"], "must be greater than 0"),
+    # a ConfigurationError traceback with exit code 1
+    (["--cases", "1", "--samples", "1"], "leaves the marginalised group no rows"),
 ])
 def test_validate_theorems_rejects_non_positive_arguments(capsys, args):
+    argv, message = args
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["validate-theorems", *args])
+        cli.main(["validate-theorems", *argv])
     assert exit_info.value.code == 2
-    assert "must be greater than 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_cli_reports_configuration_errors_as_usage_errors(capsys, tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("region: {steps: 0}\n")
+    for argv in (["region-scan", "--config", str(path)], ["audit-csv"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: region.steps must be" in err and "error: csv.path must be set" in err
+    assert not (tmp_path / "out").exists()

@@ -225,6 +225,39 @@ def test_bootstrap_drops_occasional_nan():
     assert out["m"].n_effective == 80
 
 
+def _separate_statistics(values):
+    """The per-row statistics report rows were built from before `summarise`."""
+    arr = np.asarray(values, dtype=float)
+    ok = arr[~np.isnan(arr)]
+    return (float(ok.mean()) if ok.size else math.nan,
+            float(ok.std(ddof=1)) if ok.size > 1 else (0.0 if ok.size else math.nan),
+            float(np.quantile(ok, 0.025)) if ok.size else math.nan,
+            float(np.quantile(ok, 0.975)) if ok.size else math.nan,
+            int(ok.size))
+
+
+@pytest.mark.parametrize("values", [
+    [0.3, math.nan, 0.1, 0.7, math.nan, 0.2],
+    [math.nan, math.nan, math.nan],
+    [0.42],
+    [0.9, 0.1],
+    [-0.0],
+    [-0.0, 0.0, -0.0],
+    [],
+    list(np.where(np.random.default_rng(5).random(137) < 0.2, math.nan,
+                  np.random.default_rng(6).standard_normal(137))),
+])
+def test_summarise_is_bitwise_the_separate_statistics(values):
+    summary = metrics.summarise(values)
+    expected = _separate_statistics(values)
+    assert np.array(summary[:4]).view(np.int64).tolist() == \
+        np.array(expected[:4]).view(np.int64).tolist()
+    assert summary.n_effective == expected[4]
+    assert summary.n_dropped == sum(math.isnan(v) for v in values)
+    if len(values) == 1:
+        assert summary.std == 0.0
+
+
 def test_bootstrap_mostly_undefined_raises():
     def fn(counts):
         return {"m": np.full(len(counts), math.nan)}
