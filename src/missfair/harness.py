@@ -79,11 +79,19 @@ def _merge(base, override):
     return out
 
 
+def _open(path, **kwargs):
+    """open(path, ...); a path that cannot be opened raises ConfigurationError naming it."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot open {path}: {exc.strerror}") from None
+
+
 def load_config(path=None, overrides=None):
     """Resolve a run configuration: defaults, then YAML file, then CLI overrides."""
     config = DEFAULT_CONFIG
     if path is not None:
-        with open(path) as handle:
+        with _open(path) as handle:
             loaded = yaml.safe_load(handle) or {}
         if not isinstance(loaded, dict):
             raise ConfigurationError("configuration file must hold a mapping")
@@ -450,7 +458,7 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
     Ragged rows, non-finite covariates and a third value in the group or
     outcome column raise ConfigurationError naming the line and column.
     """
-    with open(path, newline="") as handle:
+    with _open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         if group_column not in header or outcome_column not in header:
@@ -586,14 +594,8 @@ def make_standin(path, seed=0, n_majority=20000, n_marginalised=2000, n_noise=8)
     their positive clusters sit on different axes.
     """
     rng = np.random.default_rng(seed)
-    spec = PopulationSpec(
-        n_majority=n_majority, n_marginalised=n_marginalised,
-        prevalence_majority=0.66, prevalence_marginalised=0.66,
-        negative_cluster=ClusterSpec((0.0, 0.0), 0.0625),
-        positive_majority_cluster=ClusterSpec((0.0, 1.0), 0.0625),
-        positive_marginalised_cluster=ClusterSpec((1.0, 0.0), 0.0625),
-        seed=int(rng.integers(2 ** 63)))
-    cohort = generate(spec)
+    cohort = generate(replace(_plan(DEFAULT_CONFIG)["population"], n_majority=n_majority,
+                              n_marginalised=n_marginalised, seed=int(rng.integers(2 ** 63))))
     mask = apply_scenario(cohort, ScenarioSpec(
         "S3", seed=int(rng.integers(2 ** 63))))
     noise = rng.standard_normal((cohort.n, n_noise))

@@ -49,13 +49,8 @@ class ChainRegression:
 @dataclass(frozen=True)
 class FittedImputer:
     spec: ImputerSpec
-    d: int
-    population_means: np.ndarray
-    group_means: dict               # group -> length-d array (nan where no data)
-    medians: np.ndarray             # chain start values; None for mean strategies
+    fills: np.ndarray               # (2, d): row g is what a missing entry of group g starts as
     chains: tuple = ()              # per chain: tuple of ChainRegression
-    incomplete_columns: tuple = ()
-    group_fallback: frozenset = frozenset()     # (group, column) cells with no data
     warnings: tuple = ()
 
 
@@ -80,27 +75,22 @@ def fit(train, spec):
             f"covariates with zero observed training values: {fully_missing.tolist()}")
 
     population_means = np.array([X[observed[:, j], j].mean() for j in range(d)])
-
-    group_means = {}
-    group_fallback = set()
+    fills = np.tile(population_means, (2, 1))
     warnings = []
-    for g in (0, 1):
-        means = np.empty(d)
-        for j in range(d):
-            rows = (group == g) & observed[:, j]
-            if rows.any():
-                means[j] = X[rows, j].mean()
-            else:
-                means[j] = population_means[j]
-                group_fallback.add((g, j))
-                warnings.append(f"group {g} has no observed values for covariate {j}; "
-                                "falling back to the population mean")
-        group_means[g] = means
+    if spec.strategy == "group_mean":
+        for g in (0, 1):
+            for j in range(d):
+                rows = (group == g) & observed[:, j]
+                if rows.any():
+                    fills[g, j] = X[rows, j].mean()
+                else:
+                    warnings.append(f"group {g} has no observed values for covariate {j}; "
+                                    "falling back to the population mean")
 
-    incomplete = tuple(int(j) for j in range(d) if not observed[:, j].all())
-    chains, fallback_columns, medians = (), set(), None
+    chains = ()
     if spec.strategy in ("mice", "group_mice"):
         medians = np.array([np.median(X[observed[:, j], j]) for j in range(d)])
+        incomplete = [j for j in range(d) if not observed[:, j].all()]
         fallback_columns = {j for j in incomplete if observed[:, j].sum() < d + 2}
         # With at most one incomplete column every regression has complete predictors,
         # so all chains and iterations would repeat one solve: make it once and share it.
@@ -109,9 +99,7 @@ def fit(train, spec):
         chains = []
         for c in range(1 if solo else spec.mice_draws):
             rng = np.random.default_rng(np.random.SeedSequence((spec.seed, c)))
-            work = X.copy()
-            for j, rows in missing.items():
-                work[rows, j] = medians[j]
+            work = np.where(observed, X, medians)
             regressions = {}
             for _ in range(1 if solo else spec.mice_iterations):
                 for j, rows in missing.items():
@@ -128,47 +116,21 @@ def fit(train, spec):
                         work[rows, j] = pred + resid_std * rng.standard_normal(pred.size)
             chains.append(tuple(regressions.values()))
         chains = tuple(chains) * (spec.mice_draws if solo else 1)
+        regressed = [r.column for r in chains[0]]
+        fills[:, regressed] = medians[regressed]    # chains start from the median
         if fallback_columns:
             warnings.append(f"MICE fell back to mean imputation for columns "
                             f"{sorted(fallback_columns)}: too few observed rows")
 
-    return FittedImputer(
-        spec=spec, d=d,
-        population_means=population_means,
-        group_means=group_means,
-        medians=medians,
-        chains=chains,
-        incomplete_columns=incomplete,
-        group_fallback=frozenset(group_fallback),
-        warnings=tuple(warnings),
-    )
+    return FittedImputer(spec, fills, chains, tuple(warnings))
 
 
-def _fill_means(fitted, data):
-    X = data.covariates_masked.copy()
-    observed = data.mask.observed
-    if fitted.spec.strategy == "population_mean":
-        for j in range(fitted.d):
-            X[~observed[:, j], j] = fitted.population_means[j]
-    else:
-        for g in (0, 1):
-            rows = data.group == g
-            for j in range(fitted.d):
-                fill = rows & ~observed[:, j]
-                X[fill, j] = fitted.group_means[g][j]
-    return X
-
-
-def _run_chain(fitted, data, regressions, rng):
-    X = data.covariates_masked.copy()
-    spec = fitted.spec
-    by_column = {r.column: r for r in regressions}
-    missing = {j: np.flatnonzero(~data.mask.observed[:, j]) for j in range(fitted.d)}
-    missing = {j: rows for j, rows in missing.items() if rows.size}
-    # fallback columns and columns complete in train have no regression: they take the mean
-    for j, rows in missing.items():
-        X[rows, j] = fitted.medians[j] if j in by_column else fitted.population_means[j]
-    drawn = [(j, rows, by_column[j]) for j, rows in missing.items() if j in by_column]
+def _run_chain(spec, start, data, regressions, rng):
+    """Draw the regressed columns' missing rows on a copy of the filled start matrix."""
+    X = start.copy()
+    missing = ((r.column, np.flatnonzero(~data.mask.observed[:, r.column]), r)
+               for r in regressions)
+    drawn = [(j, rows, reg) for j, rows, reg in missing if rows.size]
     if len(drawn) == 1:
         # one drawn column: its predictors never change, so each iteration redraws
         # around the same prediction and only the last iteration's draw is kept
@@ -186,15 +148,18 @@ def _run_chain(fitted, data, regressions, rng):
 
 def transform(fitted, data):
     """Complete a partition; observed entries are copied verbatim."""
-    if data.d != fitted.d:
+    d = fitted.fills.shape[1]
+    if data.d != d:
         raise ConfigurationError(
-            f"schema mismatch: fitted on {fitted.d} covariates, data has {data.d}")
+            f"schema mismatch: fitted on {d} covariates, data has {data.d}")
     spec = fitted.spec
+    start = fitted.fills[data.group]
+    np.copyto(start, data.covariates_masked, where=data.mask.observed)
     if spec.strategy in MEAN_STRATEGIES:
-        completed = (_fill_means(fitted, data),)
+        completed = (start,)
     else:
         completed = tuple(
-            _run_chain(fitted, data, regressions,
+            _run_chain(spec, start, data, regressions,
                        np.random.default_rng(np.random.SeedSequence((spec.seed, 1000 + c))))
             for c, regressions in enumerate(fitted.chains))
     indicators = None

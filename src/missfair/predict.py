@@ -20,12 +20,12 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class LogisticSpec:
     penalty_grid: tuple = (0.1, 1.0, 10.0, 100.0)
-    fixed_penalty: float = None
+    fixed_penalty: float = 1.0
     max_iterations: int = 100
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.fixed_penalty is not None and self.fixed_penalty < 0:
+        if self.fixed_penalty < 0:
             raise ConfigurationError("fixed_penalty must be non-negative")
         if any(p <= 0 for p in self.penalty_grid):
             raise ConfigurationError("penalty grid entries must be positive")
@@ -174,8 +174,7 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     if y.shape[0] != train_result.completed[0].shape[0]:
         raise ConfigurationError("outcome length must match the training rows")
 
-    fixed = spec.fixed_penalty if spec.fixed_penalty is not None else 1.0
-    penalties = [fixed] if tune_result is None else sorted(spec.penalty_grid)
+    penalties = [spec.fixed_penalty] if tune_result is None else sorted(spec.penalty_grid)
     fits = [[] for _ in penalties]      # fits[k][i]: draw i at penalties[k]
     for i in range(train_result.n_draws):
         design, means, stds = _design(train_result.features(i), n_raw)
@@ -189,7 +188,7 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
                                      feature_means=means, feature_stds=stds))
 
     if tune_result is None:
-        penalty, draws = fixed, fits[0]
+        penalty, draws = spec.fixed_penalty, fits[0]
     else:
         tune_y = np.asarray(tune_outcome)
         best = None

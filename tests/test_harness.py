@@ -435,10 +435,15 @@ def test_validate_theorems_rejects_non_positive_arguments(capsys, args):
 def test_cli_reports_configuration_errors_as_usage_errors(capsys, tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("region: {steps: 0}\n")
-    for argv in (["region-scan", "--config", str(path)], ["audit-csv"]):
+    absent = tmp_path / "absent.file"
+    for argv in (["region-scan", "--config", str(path)], ["audit-csv"],
+                 ["simulate", "--config", str(absent)], ["audit-csv", "--input", str(absent)]):
         with pytest.raises(SystemExit) as exit_info:
             cli.main([*argv, "--out", str(tmp_path / "out")])
         assert exit_info.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "wrote" not in out and err.count("error:") == 4
     assert "error: region.steps must be" in err and "error: csv.path must be set" in err
+    assert err.count(f"error: cannot open {absent}: No such file or directory") == 2
     assert not (tmp_path / "out").exists()
+

@@ -65,10 +65,24 @@ def test_group_mean_falls_back_when_group_unobserved():
     data = MaskedCohort(Cohort(X, g, np.zeros(4, dtype=int)),
                         ObservationMask(observed))
     fitted = impute.fit(data, impute.ImputerSpec("group_mean"))
-    assert (1, 1) in fitted.group_fallback
-    assert fitted.warnings
+    assert fitted.fills[1, 1] == 6.0                        # population mean of column 1
+    assert fitted.warnings == ("group 1 has no observed values for covariate 1; "
+                               "falling back to the population mean",)
     result = impute.transform(fitted, data)
-    assert np.allclose(result.completed[0][2:, 1], 6.0)    # population mean of column 1
+    assert np.allclose(result.completed[0][2:, 1], 6.0)
+
+
+@pytest.mark.parametrize("strategy", impute.STRATEGIES)
+def test_only_group_mean_warns_of_a_group_fallback(strategy):
+    # 6 rows: group 1 has no observed value in column 1; every other strategy never
+    # reads group means, so it has no fallback to warn of
+    X = np.array([[1.0, 5.0], [2.0, 7.0], [3.0, 9.0], [4.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
+    g = np.array([0, 0, 0, 1, 1, 1])
+    observed = np.array([[1, 1], [1, 1], [1, 1], [1, 0], [1, 0], [1, 0]], dtype=bool)
+    data = MaskedCohort(Cohort(X, g, np.zeros(6, dtype=int)), ObservationMask(observed))
+    fitted = impute.fit(data, impute.ImputerSpec(strategy, mice_draws=2, mice_iterations=2))
+    fallback = [w for w in fitted.warnings if "falling back to the population mean" in w]
+    assert len(fallback) == (strategy == "group_mean")
 
 
 def test_fit_rejects_fully_missing_column():
@@ -114,15 +128,17 @@ def test_mean_strategies_have_single_draw():
 def test_mean_strategies_fit_no_medians(name):
     data = _masked()
     fitted = impute.fit(data, impute.ImputerSpec(name))
-    assert fitted.medians is None
     X = data.cohort.covariates
     obs = data.mask.observed[:, 2]
     expected = X.copy()
     for g in (0, 1):
         rows = data.group == g if name == "group_mean" else np.ones(data.n, dtype=bool)
         expected[rows & ~obs, 2] = X[rows & obs, 2].mean()
+        assert fitted.fills[g, 2] == X[rows & obs, 2].mean()
     assert np.array_equal(impute.transform(fitted, data).completed[0], expected)
-    assert impute.fit(data, impute.ImputerSpec("mice", mice_draws=1)).medians is not None
+    # only MICE chains start from the training median
+    mice = impute.fit(data, impute.ImputerSpec("mice", mice_draws=1))
+    assert np.array_equal(mice.fills[:, 2], np.full(2, np.median(X[obs, 2])))
 
 
 def test_indicator_columns_mark_missing_cells():
@@ -234,9 +250,9 @@ def test_two_incomplete_columns_iterate_every_chain(monkeypatch):
     data = _two_incomplete()
     spec = impute.ImputerSpec("mice", mice_draws=4, mice_iterations=3)
     fitted = impute.fit(data, spec)
-    assert fitted.incomplete_columns == (0, 2)
     assert len(calls) == spec.mice_draws * spec.mice_iterations * 2
     first = fitted.chains[0]
+    assert [r.column for r in first] == [0, 2]
     for chain in fitted.chains[1:]:
         assert [r.column for r in chain] == [0, 2]
         assert not all(np.array_equal(a.coefficients, b.coefficients)
@@ -249,16 +265,17 @@ def test_two_incomplete_columns_iterate_every_chain(monkeypatch):
                                   result.completed[1][missing, j])
 
 
-def _iterated_chain(fitted, data, regressions, rng):
+def _iterated_chain(spec, train, data, regressions, rng):
     """`_run_chain` as written before its one-drawn-column shortcut: every iteration
-    predicts and draws every column that has a regression."""
+    predicts and draws every column that has a regression. Its start values come from
+    the train partition: the median of a regressed column, the mean of any other."""
     X = data.covariates_masked.copy()
-    spec = fitted.spec
     by_column = {r.column: r for r in regressions}
-    missing = {j: np.flatnonzero(~data.mask.observed[:, j]) for j in range(fitted.d)}
+    missing = {j: np.flatnonzero(~data.mask.observed[:, j]) for j in range(data.d)}
     missing = {j: rows for j, rows in missing.items() if rows.size}
     for j, rows in missing.items():
-        X[rows, j] = fitted.medians[j] if j in by_column else fitted.population_means[j]
+        seen = train.cohort.covariates[train.mask.observed[:, j], j]
+        X[rows, j] = np.median(seen) if j in by_column else seen.mean()
     for _ in range(spec.mice_iterations):
         for j, rows in missing.items():
             reg = by_column.get(j)
@@ -268,6 +285,13 @@ def _iterated_chain(fitted, data, regressions, rng):
                 @ reg.coefficients
             X[rows, j] = pred + reg.residual_std * rng.standard_normal(pred.size)
     return X
+
+
+def _start(fitted, data):
+    """The filled start matrix `transform` hands every chain."""
+    start = fitted.fills[data.group]
+    np.copyto(start, data.covariates_masked, where=data.mask.observed)
+    return start
 
 
 def _also_missing_outside_train():
@@ -293,15 +317,17 @@ def test_one_drawn_column_equals_the_iterated_chain(monkeypatch, strategy, case)
         train = test = _masked()
     else:
         train, test = _also_missing_outside_train()
-    fitted = impute.fit(train, impute.ImputerSpec(strategy, mice_draws=3, mice_iterations=4))
+    spec = impute.ImputerSpec(strategy, mice_draws=3, mice_iterations=4)
+    fitted = impute.fit(train, spec)
+    start = _start(fitted, test)
     calls = _count_designs(monkeypatch)
     for c, regressions in enumerate(fitted.chains):
         rng, reference_rng = np.random.default_rng(c), np.random.default_rng(c)
         calls.clear()
-        completed = impute._run_chain(fitted, test, regressions, rng)
+        completed = impute._run_chain(spec, start, test, regressions, rng)
         assert len(calls) == 1                      # one prediction per chain
         assert completed.tobytes() == \
-            _iterated_chain(fitted, test, regressions, reference_rng).tobytes()
+            _iterated_chain(spec, train, test, regressions, reference_rng).tobytes()
         # the same stream was consumed: the next draw of both generators agrees
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
@@ -312,8 +338,8 @@ def test_two_drawn_columns_take_the_iterated_path(monkeypatch):
     fitted = impute.fit(data, spec)
     calls = _count_designs(monkeypatch)
     rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
-    completed = impute._run_chain(fitted, data, fitted.chains[0], rng)
+    completed = impute._run_chain(spec, _start(fitted, data), data, fitted.chains[0], rng)
     assert len(calls) == spec.mice_iterations * 2
     assert completed.tobytes() == \
-        _iterated_chain(fitted, data, fitted.chains[0], reference_rng).tobytes()
+        _iterated_chain(spec, data, data, fitted.chains[0], reference_rng).tobytes()
     assert rng.bit_generator.state == reference_rng.bit_generator.state

@@ -10,7 +10,7 @@ ACCEPTANCE = pathlib.Path(__file__).parent / "test_acceptance.py"
 
 # Public names allowed without a caller, each with the reason it stays.
 ALLOWED = {
-    "missingness.describe",     # ROADMAP item 5 gives it a caller (the per-run theory check)
+    "missingness.describe",     # ROADMAP item 4 gives it a caller (the per-run theory check)
 }
 
 
