@@ -84,7 +84,7 @@ def main(argv=None):
         print(f"wrote {run(config).write(config['output_dir'])}")
         return 0
     except ConfigurationError as exc:   # a usage error like argparse's own: one line, exit 2
-        parser.error(str(exc))
+        sub.choices[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

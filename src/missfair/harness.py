@@ -8,6 +8,7 @@ Three entry points: `run_simulation` (synthetic cohorts, repeated end to end),
 
 import copy
 import csv
+import itertools
 import json
 import math
 import os
@@ -448,6 +449,11 @@ def _manifest_config(config):
     return json.loads(json.dumps(out))
 
 
+# read_csv_cohort parses a block of rows at a time: numpy's object-to-float cast calls
+# float() once per cell, as the row path does, without holding every row's strings.
+_CSV_BLOCK_ROWS = 2048
+
+
 def read_csv_cohort(path, group_column="group", outcome_column="outcome",
                     marginalised_value="1", positive_value="1"):
     """Load an external table: empty covariate cells become missing entries.
@@ -455,9 +461,24 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
     All columns except the group and outcome columns are treated as numeric
     covariates. Returns (Cohort, ObservationMask, covariate_names); ground truth
     at missing positions is unknowable, so those cells carry 0 under the mask.
+    Cells are stripped, so a whitespace-only covariate cell is missing too.
     Ragged rows, non-finite covariates and a third value in the group or
     outcome column raise ConfigurationError naming the line and column.
     """
+    marks = (str(marginalised_value), str(positive_value))
+    # a block that is not plainly valid sends the file to the row path, which names the
+    # offending line and column (or parses the whitespace-only cells a block turns down)
+    X, binary, names = (_read_table(path, group_column, outcome_column, marks, blocked=True)
+                        or _read_table(path, group_column, outcome_column, marks, blocked=False))
+    if not len(X) or not names:
+        raise ConfigurationError("CSV needs at least one row and one covariate column")
+    group, outcome = binary.T
+    return Cohort(np.nan_to_num(X), group, outcome), ObservationMask(~np.isnan(X)), names
+
+
+def _read_table(path, group_column, outcome_column, marks, blocked):
+    """(covariates with nan where missing, (n, 2) group/outcome flags, covariate names);
+    None when `blocked` and a block needs the row path."""
     with _open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -466,29 +487,62 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
                 f"columns '{group_column}' and '{outcome_column}' must exist in the CSV")
         g_idx, y_idx = header.index(group_column), header.index(outcome_column)
         cov_idx = [i for i in range(len(header)) if i not in (g_idx, y_idx)]
-        labels = {g_idx: [str(marginalised_value)], y_idx: [str(positive_value)]}
-        X, binary = [], []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise ConfigurationError(
-                    f"{where}: {len(row)} fields where the header has {len(header)}")
-            cells = [cell.strip() for cell in row]
-            for i, allowed in labels.items():   # the marked value plus one other
-                if cells[i] not in allowed:
-                    allowed.append(cells[i])
-                if len(allowed) > 2:
+        labels = {g_idx: [marks[0]], y_idx: [marks[1]]}
+        if blocked:
+            blocks = []
+            while rows := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
+                block = _parse_block(rows, len(header), cov_idx, labels, (g_idx, y_idx))
+                if block is None:
+                    return None
+                blocks.append(block)
+            X, binary = (np.concatenate(parts) for parts in zip(*blocks)) if blocks else ((), ())
+        else:
+            X, binary = [], []
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(header):
                     raise ConfigurationError(
-                        f"{where}, column '{header[i]}': {cells[i]!r} is a third value "
-                        f"besides {allowed[0]!r} and {allowed[1]!r}")
-            binary.append([int(cells[i] == labels[i][0]) for i in (g_idx, y_idx)])
-            X.append([_covariate(cells[i], header[i], where) for i in cov_idx])
-    if not X or not cov_idx:
-        raise ConfigurationError("CSV needs at least one row and one covariate column")
-    X = np.array(X)
-    group, outcome = np.array(binary).T
-    return (Cohort(np.nan_to_num(X), group, outcome), ObservationMask(~np.isnan(X)),
-            [header[i] for i in cov_idx])
+                        f"{where}: {len(row)} fields where the header has {len(header)}")
+                cells = [cell.strip() for cell in row]
+                for i, allowed in labels.items():   # the marked value plus one other
+                    if cells[i] not in allowed:
+                        allowed.append(cells[i])
+                    if len(allowed) > 2:
+                        raise ConfigurationError(
+                            f"{where}, column '{header[i]}': {cells[i]!r} is a third value "
+                            f"besides {allowed[0]!r} and {allowed[1]!r}")
+                binary.append([int(cells[i] == labels[i][0]) for i in (g_idx, y_idx)])
+                X.append([_covariate(cells[i], header[i], where) for i in cov_idx])
+            X, binary = np.array(X), np.array(binary)
+    return X, binary, [header[i] for i in cov_idx]
+
+
+def _parse_block(rows, width, cov_idx, labels, binary_idx):
+    """One block's (covariates, group/outcome flags) as `_read_table` returns them, or
+    None for a ragged row, a covariate cell that is not a finite number or empty (a
+    whitespace-only one included), or a third group or outcome value."""
+    if set(map(len, rows)) != {width}:
+        return None
+    block = np.array(rows, dtype=object)
+    marked = {}     # per label column: the raw cells that strip to its marked value
+    for i, allowed in labels.items():
+        raw = set(block[:, i].tolist())
+        new = {cell.strip() for cell in raw}.difference(allowed)
+        if len(allowed) + len(new) > 2:
+            return None
+        allowed.extend(new)
+        marked[i] = [cell for cell in raw if cell.strip() == allowed[0]]
+    flags = [np.isin(block[:, i], marked[i]) for i in binary_idx]
+    cells = block[:, cov_idx]
+    missing = cells == ""
+    cells[missing] = math.nan
+    try:
+        X = cells.astype(float)
+    except ValueError:
+        return None
+    if not (np.isfinite(X) | missing).all():
+        return None
+    return X, np.array(flags, dtype=np.int64).T
 
 
 def _covariate(cell, column, where):

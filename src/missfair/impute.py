@@ -52,6 +52,7 @@ class FittedImputer:
     fills: np.ndarray               # (2, d): row g is what a missing entry of group g starts as
     chains: tuple = ()              # per chain: tuple of ChainRegression
     warnings: tuple = ()
+    indicated: tuple = ()           # columns given an indicator: those missing in training
 
 
 def _mice_design(X, column, group, use_group):
@@ -74,6 +75,7 @@ def fit(train, spec):
         raise ConfigurationError(
             f"covariates with zero observed training values: {fully_missing.tolist()}")
 
+    incomplete = [j for j in range(d) if not observed[:, j].all()]
     population_means = np.array([X[observed[:, j], j].mean() for j in range(d)])
     fills = np.tile(population_means, (2, 1))
     warnings = []
@@ -90,7 +92,6 @@ def fit(train, spec):
     chains = ()
     if spec.strategy in ("mice", "group_mice"):
         medians = np.array([np.median(X[observed[:, j], j]) for j in range(d)])
-        incomplete = [j for j in range(d) if not observed[:, j].all()]
         fallback_columns = {j for j in incomplete if observed[:, j].sum() < d + 2}
         # With at most one incomplete column every regression has complete predictors,
         # so all chains and iterations would repeat one solve: make it once and share it.
@@ -122,7 +123,9 @@ def fit(train, spec):
             warnings.append(f"MICE fell back to mean imputation for columns "
                             f"{sorted(fallback_columns)}: too few observed rows")
 
-    return FittedImputer(spec, fills, chains, tuple(warnings))
+    # a column complete in training gets no indicator: one all zero there carries no weight
+    indicated = tuple(incomplete) if spec.append_indicators else ()
+    return FittedImputer(spec, fills, chains, tuple(warnings), indicated)
 
 
 def _run_chain(spec, start, data, regressions, rng):
@@ -164,5 +167,5 @@ def transform(fitted, data):
             for c, regressions in enumerate(fitted.chains))
     indicators = None
     if spec.append_indicators:
-        indicators = (~data.mask.observed).astype(float)
+        indicators = (~data.mask.observed[:, fitted.indicated]).astype(float)
     return ImputationResult(completed, indicator_columns=indicators)

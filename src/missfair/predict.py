@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import ConfigurationError
+from .linalg_stat import SingularSystemError
 from .metrics import _auc_core
 
 
@@ -99,6 +100,12 @@ def _loss_and_mu(design, y, beta, ridge):
     return float(loss + 0.5 * np.sum(ridge * beta * beta)), _sigmoid(eta, e)
 
 
+def _zero_start(n):
+    """`_loss_and_mu` at beta = 0 without the pass over the design: bitwise the same,
+    since every row's loss term is then log1p(1) and its probability 1/2."""
+    return float(np.sum(np.full(n, np.log1p(1.0)))), np.full(n, 0.5)
+
+
 def _penalised_loss(design, y, beta, ridge):
     """Penalised loss for a sample-major (n, p+1) design."""
     return _loss_and_mu(design.T, y, beta, ridge)[0]
@@ -113,7 +120,7 @@ def _fit_draw(design, y, penalty, spec, start=None):
     ridge = np.full(design.shape[0], penalty)
     ridge[0] = 0.0                      # intercept first, unpenalised
     beta = np.zeros(design.shape[0])
-    loss, mu = _loss_and_mu(design, y, beta, ridge)
+    loss, mu = _zero_start(design.shape[1])
     if start is not None:
         start_loss, start_mu = _loss_and_mu(design, y, start, ridge)
         if start_loss < loss:
@@ -124,7 +131,10 @@ def _fit_draw(design, y, penalty, spec, start=None):
             break
         w = np.maximum(mu * (1.0 - mu), 1e-10)
         hess = (design * w) @ design.T + np.diag(ridge)
-        step = np.linalg.solve(hess, grad)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:   # e.g. a constant feature with no penalty
+            raise SingularSystemError("Newton Hessian is singular") from None
         # halve the step until the penalised loss stops increasing; the allowance
         # is relative, since one ulp of a large loss exceeds any absolute 1e-12
         allowance = 1e-12 * max(1.0, abs(loss))

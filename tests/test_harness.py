@@ -265,6 +265,18 @@ def test_programming_errors_in_a_cell_propagate(monkeypatch, tmp_path):
         harness.run_csv_audit(config)
 
 
+def test_unpenalised_model_with_indicators_writes_a_report():
+    # every covariate's indicator made all-zero design rows, and with no penalty
+    # a singular Newton Hessian that escaped the cell as numpy's LinAlgError
+    config = _small_config(repetitions=1, scenarios=["S1"],
+                           imputers=[{"strategy": "population_mean", "append_indicators": True}])
+    config["population"] = {**SMALL_POPULATION, "n_majority": 5000, "n_marginalised": 500}
+    config["model"] = {**config["model"], "fixed_penalty": 0}
+    rows = harness.run_simulation(config).rows
+    auc = [r for r in rows if r["metric"] == "auc"]
+    assert len(auc) == 4 and all(r["error"] == "" and r["n_values"] == 1 for r in auc)
+
+
 def test_simulation_tunes_penalty_and_completes_each_row_once(monkeypatch):
     transformed, tuned = [], []
     original_transform, original_train = impute.transform, predict.train
@@ -333,6 +345,60 @@ def test_read_csv_cohort_rejects_malformed_cells(tmp_path, body, where):
     path.write_text("x1,x2,group,outcome\n" + body)
     with pytest.raises(ConfigurationError, match=where):
         harness.read_csv_cohort(str(path), "group", "outcome")
+
+
+def _csv_with_blocks(path, n=2600, edits=()):
+    """A CRLF table longer than one parse block; `edits` maps (row, column) to cell text."""
+    rng = np.random.default_rng(3)
+    rows = [[repr(v) for v in rng.standard_normal(3).tolist()] + [str(g), str(y)]
+            for g, y in zip(rng.integers(0, 2, n), rng.integers(0, 2, n))]
+    for (row, column), text in dict(edits).items():
+        rows[row][column] = text
+    path.write_bytes("".join(",".join(row) + "\r\n"
+                             for row in [["x1", "x2", "x3", "group", "outcome"], *rows]).encode())
+    return str(path)
+
+
+_ODD_CELLS = {(5, 0): " 1.5 ", (6, 1): "1e-3", (7, 2): "-0", (2100, 0): "+.5",
+              (2101, 1): "1_000", (2102, 2): "", (8, 0): '"2.5"', (2103, 3): " 1 ",
+              (2104, 4): "0 "}
+
+
+def test_read_csv_cohort_blocks_parse_bitwise_as_the_row_path(tmp_path):
+    path = _csv_with_blocks(tmp_path / "t.csv", edits=_ODD_CELLS)
+    marks = ("1", "1")
+    blocked = harness._read_table(path, "group", "outcome", marks, blocked=True)
+    rows = harness._read_table(path, "group", "outcome", marks, blocked=False)
+    assert blocked is not None and blocked[2] == rows[2] == ["x1", "x2", "x3"]
+    assert blocked[0].tobytes() == rows[0].tobytes()
+    assert np.array_equal(blocked[1], rows[1])
+    X = blocked[0]
+    assert (X[5, 0], X[6, 1], X[8, 0], X[2100, 0], X[2101, 1]) == (1.5, 1e-3, 2.5, 0.5, 1000.0)
+    assert np.signbit(X[7, 2]) and X[7, 2] == 0.0 and np.isnan(X[2102, 2])
+    assert blocked[1][2103, 0] == 1 and blocked[1][2104, 1] == 0
+
+
+def test_read_csv_cohort_whitespace_only_cells_are_missing(tmp_path):
+    path = _csv_with_blocks(tmp_path / "t.csv", edits={**_ODD_CELLS, (2200, 1): "   "})
+    cohort, mask, _ = harness.read_csv_cohort(path)
+    assert harness._read_table(path, "group", "outcome", ("1", "1"), blocked=True) is None
+    assert np.flatnonzero(~mask.observed.ravel()).tolist() == [2102 * 3 + 2, 2200 * 3 + 1]
+    assert cohort.covariates[2200, 1] == 0.0 and cohort.covariates[7, 2] == 0.0
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({(2300, 4): "1,7"}, "line 2302: 6 fields where the header has 5"),
+    ({(2300, 1): "inf"}, "line 2302, column 'x2': 'inf' is not a finite number"),
+    ({(2300, 1): "  nan "}, "line 2302, column 'x2': 'nan' is not a finite number"),
+    # the first block holds no group 0, the second holds 0 and then a third value
+    ({**{(row, 3): "1" for row in range(2300)}, (2301, 3): "2"},
+     "line 2303, column 'group': '2' is a third value besides '1' and '0'"),
+], ids=["ragged", "non-finite", "nan", "third-label"])
+def test_read_csv_cohort_names_a_bad_cell_in_a_later_block(tmp_path, edits, message):
+    path = _csv_with_blocks(tmp_path / "t.csv", edits=edits)
+    with pytest.raises(ConfigurationError) as error:
+        harness.read_csv_cohort(path)
+    assert str(error.value) == f"{path}, {message}"
 
 
 def test_read_csv_cohort_requires_columns(tmp_path):
@@ -443,6 +509,10 @@ def test_cli_reports_configuration_errors_as_usage_errors(capsys, tmp_path):
         assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert "wrote" not in out and err.count("error:") == 4
+    # each error is reported with its subcommand's usage, as argparse reports its own
+    assert [line.split(": error:")[0] for line in err.splitlines() if "error:" in line] == [
+        "missfair region-scan", "missfair audit-csv", "missfair simulate", "missfair audit-csv"]
+    assert err.count("usage: missfair simulate ") == 1
     assert "error: region.steps must be" in err and "error: csv.path must be set" in err
     assert err.count(f"error: cannot open {absent}: No such file or directory") == 2
     assert not (tmp_path / "out").exists()

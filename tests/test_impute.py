@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from missfair import impute
-from missfair.data_model import (Cohort, ConfigurationError, MaskedCohort,
+from missfair import impute, predict
+from missfair.data_model import (Cohort, ConfigurationError, ImputationResult, MaskedCohort,
                                  ObservationMask)
 from missfair.linalg_stat import ols_solve
 
@@ -145,10 +145,36 @@ def test_indicator_columns_mark_missing_cells():
     data = _masked()
     spec = impute.ImputerSpec("group_mice", append_indicators=True,
                               mice_draws=2, mice_iterations=2)
-    result = impute.transform(impute.fit(data, spec), data)
+    fitted = impute.fit(data, spec)
+    result = impute.transform(fitted, data)
+    # columns 0 and 1 are complete in training: only column 2 gets an indicator
+    assert fitted.indicated == (2,)
     assert np.array_equal(result.indicator_columns,
-                          (~data.mask.observed).astype(float))
-    assert result.features(0).shape[1] == result.n_features == 6
+                          (~data.mask.observed[:, [2]]).astype(float))
+    assert result.features(0).shape[1] == result.n_features == 4
+
+
+def test_indicators_only_for_columns_missing_in_training():
+    train, test = _masked(seed=5), _masked(seed=6)
+    observed = test.mask.observed.copy()
+    observed[::7, 0] = False        # column 0: complete in training, missing in test
+    test = MaskedCohort(test.cohort, ObservationMask(observed))
+    spec = impute.ImputerSpec("population_mean", append_indicators=True)
+    fitted = impute.fit(train, spec)
+    assert fitted.indicated == (2,)
+    assert impute.fit(train, impute.ImputerSpec("population_mean")).indicated == ()
+    done, scored = impute.transform(fitted, train), impute.transform(fitted, test)
+    assert scored.n_features == 4
+    assert np.array_equal(scored.indicator_columns, (~observed[:, [2]]).astype(float))
+    # a model given every column's indicator weighs the all-zero training ones at 0
+    logistic = predict.LogisticSpec(fixed_penalty=1.0)
+    model = predict.train(done, train.outcome, logistic)
+    full = predict.train(ImputationResult(done.completed, (~train.mask.observed).astype(float)),
+                         train.outcome, logistic)
+    assert np.array_equal(full.draws[0].weights[3:5], [0.0, 0.0])
+    every = ImputationResult(scored.completed, (~observed).astype(float))
+    assert np.allclose(predict.predict(model, scored), predict.predict(full, every),
+                       rtol=0, atol=1e-12)
 
 
 def test_transform_is_deterministic_for_fixed_seed():

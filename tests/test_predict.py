@@ -5,6 +5,7 @@ import pytest
 
 from missfair import harness, impute, predict
 from missfair.data_model import ConfigurationError, ImputationResult, SplitSpec, split
+from missfair.linalg_stat import SingularSystemError
 from missfair.metrics import _auc_core
 from missfair.missingness import apply_scenario
 from missfair.predict import LogisticSpec, _penalised_loss, _sigmoid
@@ -293,6 +294,42 @@ def test_fused_loss_matches_the_logaddexp_form():
         assert abs(loss - expected) <= 1e-12 * abs(expected)
         _, mu = predict._loss_and_mu(design.T, y, beta, ridge)
         assert mu.tobytes() == _sigmoid(eta).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 80800])
+def test_closed_form_zero_start_is_bitwise_the_loss_pass(n):
+    rng = np.random.default_rng(n)
+    # negative entries make 0 * x a -0.0 in the pass the closed form replaces
+    design = np.vstack([np.ones((1, n)), -np.abs(rng.standard_normal((3, n))),
+                        rng.standard_normal((2, n))])
+    y = (rng.random(n) < 0.4).astype(float)
+    for penalty in (0.0, 1.0):
+        ridge = np.array([0.0] + [penalty] * 5)
+        loss, mu = predict._loss_and_mu(design, y, np.zeros(6), ridge)
+        closed_loss, closed_mu = predict._zero_start(n)
+        assert type(closed_loss) is float
+        assert np.float64(closed_loss).tobytes() == np.float64(loss).tobytes()
+        assert closed_mu.tobytes() == mu.tobytes()
+
+
+def test_cold_fit_makes_no_loss_pass_at_zero(monkeypatch):
+    result, y = _data()
+    betas = []
+    loss_and_mu = predict._loss_and_mu
+    monkeypatch.setattr(predict, "_loss_and_mu",
+                        lambda design, y, beta, ridge: betas.append(beta.copy())
+                        or loss_and_mu(design, y, beta, ridge))
+    predict.train(result, y, LogisticSpec(fixed_penalty=1.0))
+    assert betas and all(beta.any() for beta in betas)
+
+
+def test_singular_newton_hessian_is_a_singular_system_error():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((120, 3))
+    X[:, 2] = 5.0       # standardised to a zero row, which no penalty props up
+    y = (rng.random(120) < _sigmoid(X[:, 0])).astype(int)
+    with pytest.raises(SingularSystemError, match="Newton Hessian is singular"):
+        predict.train(ImputationResult((X,)), y, LogisticSpec(fixed_penalty=0.0))
 
 
 def test_design_is_feature_major_with_raw_moments():
