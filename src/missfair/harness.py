@@ -49,7 +49,6 @@ DEFAULT_CONFIG = {
     ],
     "model": {"fixed_penalty": 1.0, "penalty_grid": [0.1, 1.0, 10.0, 100.0]},
     "split": {"train": 0.8, "tune": 0.0, "test": 0.2},
-    "target_covariate": 1,
     "capacities": [0.1, 0.25, 0.5],
     "bootstrap_resamples": 100,
     "region": {
@@ -110,7 +109,7 @@ _FINITE = ("a finite number", lambda v: math.isfinite(float(v)))
 # Numeric keys a bad value of which fails late, silently or unnamed; "[]" checks each entry.
 _NUMERIC_KEYS = {
     "seed": _INDEX, "repetitions": _COUNT, "threads": _COUNT, "bootstrap_resamples": _COUNT,
-    "target_covariate": _INDEX, "region.steps": _COUNT,
+    "region.steps": _COUNT,
     "population.n_majority": _COUNT, "population.n_marginalised": _COUNT,
     "population.prevalence_majority": _RATE, "population.prevalence_marginalised": _RATE,
     "split.train": _RATE, "split.tune": _RATE, "split.test": _RATE,
@@ -142,25 +141,37 @@ def _check_numbers(config):
 def _plan(config):
     """Seed-free specs of every section a run builds; the runners stamp the seeds.
 
-    Each section is built by one function; one that cannot be built raises
+    Each section is built by one function; one that cannot be built, or a
+    scenario or imputer entry that repeats a report cell, raises
     ConfigurationError naming its key. `csv` is None when the section is unset.
     """
     for section in ("scenarios", "imputers"):
         if not isinstance(config[section], list):
             raise ConfigurationError(f"{section} must be a list, got {config[section]!r}")
     p, s = config["population"], config["split"]
-    clusters = {name: _build(f"population.{name}", _cluster_spec, p[name]) for name in _CLUSTERS}
-    return {
-        "population": _build("population", _population_spec, p, clusters),
+    clusters = {name: _build(f"population.{name}", _entry, ClusterSpec, p[name], _CLUSTER_KINDS)
+                for name in _CLUSTERS}
+    population = _build("population", _entry, PopulationSpec, {**p, **clusters},
+                        _POPULATION_KINDS)
+    d = len(population.negative_cluster.mean)
+    plan = {
+        "population": population,
         "split": _build("split", _split_spec, (s["train"], s["tune"], s["test"])),
         "model": _build("model", _logistic_spec, config["model"]),
         "region": _build("region", _region_spec, config["region"]),
-        "scenarios": [_build(f"scenarios[{i}]", _scenario_spec, entry, config["target_covariate"])
+        "scenarios": [_build(f"scenarios[{i}]", _scenario_spec, entry, d)
                       for i, entry in enumerate(config["scenarios"])],
-        "imputers": [_build(f"imputers[{i}]", _imputer_spec, entry)
+        "imputers": [_build(f"imputers[{i}]", _entry, impute.ImputerSpec, entry, _IMPUTER_KINDS)
                      for i, entry in enumerate(config["imputers"])],
         "csv": None if config["csv"] is None else _build("csv", _csv_spec, config["csv"]),
     }
+    # a report cell is keyed by (scenario, imputer label): a repeat would merge two cells
+    for section, labels in (("scenarios", [spec.scenario for spec in plan["scenarios"]]),
+                            ("imputers", [spec.label() for spec in plan["imputers"]])):
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ConfigurationError(f"{section}[{i}] must be unique, got a second {label}")
+    return plan
 
 
 def _build(key, build, *args):
@@ -173,39 +184,39 @@ def _build(key, build, *args):
 
 
 _CLUSTERS = ("negative_cluster", "positive_majority_cluster", "positive_marginalised_cluster")
+# How _entry reads each key of an entry: int, bool and str values must already be of
+# that type, float and tuple convert, None takes the value as given.
+_CLUSTER_KINDS = {"mean": tuple, "variance": float}
+_POPULATION_KINDS = {"n_majority": int, "n_marginalised": int, "prevalence_majority": float,
+                     "prevalence_marginalised": float, "correlate_x2_with_x1": bool,
+                     **dict.fromkeys(_CLUSTERS)}
+_SCENARIO_KINDS = {"scenario": str, "target_covariate": int, "trigger_covariate": int,
+                   "threshold": float, "mask_probability": float}
+_IMPUTER_KINDS = {"strategy": str, "append_indicators": bool, "mice_iterations": int,
+                  "mice_draws": int}
+_CSV_KINDS = {"path": str, "group_column": str, "outcome_column": str,
+              "marginalised_value": None, "positive_value": None, "fractions": tuple}
 
 
-def _known_keys(entry, keys):
-    """Reject a non-mapping entry, or a misspelled key, which would silently run its default."""
+def _entry(cls, entry, kinds):
+    """cls(**entry) with each value read by its kind in `kinds`; a key the entry leaves
+    out keeps cls's default. A non-mapping entry or a misspelled key, which would
+    silently run its default, is rejected; a bool is not an int here."""
     if not isinstance(entry, dict):
         raise TypeError(f"expected a mapping, got {entry!r}")
-    unknown = sorted(entry.keys() - set(keys))
+    unknown = sorted(entry.keys() - kinds.keys())
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")
-
-
-def _typed(entry, key, default, kind=int):
-    """entry[key], or the default, which must be a `kind`; a bool is not an int here."""
-    value = entry.get(key, default)
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _cluster_spec(entry):
-    _known_keys(entry, ("mean", "variance"))
-    return ClusterSpec(tuple(entry["mean"]), float(entry["variance"]))
-
-
-def _population_spec(p, clusters):
-    return PopulationSpec(
-        n_majority=p["n_majority"],
-        n_marginalised=p["n_marginalised"],
-        prevalence_majority=float(p["prevalence_majority"]),
-        prevalence_marginalised=float(p["prevalence_marginalised"]),
-        **clusters,
-        correlate_x2_with_x1=_typed(p, "correlate_x2_with_x1", False, bool),
-    )
+    values = {}
+    for key, value in entry.items():
+        kind = kinds[key]
+        if kind in (float, tuple):
+            value = kind(value)
+        elif kind is not None and (isinstance(value, bool) != (kind is bool)
+                                   or not isinstance(value, kind)):
+            raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
+        values[key] = value
+    return cls(**values)
 
 
 def _split_spec(fractions):
@@ -214,28 +225,14 @@ def _split_spec(fractions):
     return SplitSpec(*(float(f) for f in fractions))
 
 
-def _scenario_spec(entry, target):
-    if isinstance(entry, str):
-        entry = {"scenario": entry}
-    _known_keys(entry, ("scenario", "target_covariate", "trigger_covariate", "threshold",
-                        "mask_probability"))
-    return ScenarioSpec(
-        scenario=entry["scenario"],
-        target_covariate=_typed(entry, "target_covariate", target),
-        trigger_covariate=_typed(entry, "trigger_covariate", 0),
-        threshold=float(entry.get("threshold", 0.5)),
-        mask_probability=float(entry.get("mask_probability", 0.5)),
-    )
-
-
-def _imputer_spec(entry):
-    _known_keys(entry, ("strategy", "append_indicators", "mice_iterations", "mice_draws"))
-    return impute.ImputerSpec(
-        strategy=entry["strategy"],
-        append_indicators=_typed(entry, "append_indicators", False, bool),
-        mice_iterations=_typed(entry, "mice_iterations", 10),
-        mice_draws=_typed(entry, "mice_draws", 10),
-    )
+def _scenario_spec(entry, d):
+    """A scenario entry, or its bare name, as a ScenarioSpec over covariates [0, d)."""
+    spec = _entry(ScenarioSpec, {"scenario": entry} if isinstance(entry, str) else entry,
+                  _SCENARIO_KINDS)
+    if not (0 <= spec.target_covariate < d and 0 <= spec.trigger_covariate < d):
+        raise ValueError(f"target_covariate and trigger_covariate must lie in [0, {d}), "
+                         f"got {spec.target_covariate} and {spec.trigger_covariate}")
+    return spec
 
 
 def _logistic_spec(model):
@@ -257,15 +254,10 @@ def _region_spec(region):
 
 
 def _csv_spec(entry):
-    """The csv section as (read_csv_cohort keyword arguments, seed-free SplitSpec)."""
-    _known_keys(entry, ("path", "group_column", "outcome_column", "marginalised_value",
-                        "positive_value", "fractions"))
-    arguments = dict(entry)     # an omitted column or value keeps read_csv_cohort's default
-    for key in ("path", "group_column", "outcome_column"):
-        if not isinstance(arguments.get(key, ""), str):
-            raise TypeError(f"{key} must be a string, got {arguments[key]!r}")
-    fractions = arguments.pop("fractions", (0.8, 0.1, 0.1))
-    return arguments, _split_spec(fractions)
+    """The csv section as (read_csv_cohort keyword arguments, seed-free SplitSpec);
+    an omitted column or value keeps read_csv_cohort's default."""
+    arguments = _entry(dict, entry, _CSV_KINDS)
+    return arguments, _split_spec(arguments.pop("fractions", (0.8, 0.1, 0.1)))
 
 
 def _derived_seed(*entropy):
@@ -324,7 +316,7 @@ def _simulate_repetition(config, rep):
             cell = (scenario_spec.scenario, imputer_spec.label())
             values, error = _run_cell(
                 replace(imputer_spec, seed=_derived_seed(seed, rep, 3, i_index)), plan["model"],
-                partitions, config["capacities"], config["target_covariate"])
+                partitions, config["capacities"], scenario_spec.target_covariate)
             if error:
                 errors[cell] = error
             else:
@@ -425,13 +417,9 @@ def audit_sign_convention(rows, tolerance=1e-9):
 
 def run_simulation(config):
     """Repeat generate/mask/split/impute/train/audit; aggregate across repetitions."""
-    repetitions, threads = config["repetitions"], config["threads"]
-    if threads == 1:
-        results = [_simulate_repetition(config, rep) for rep in range(repetitions)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda rep: _simulate_repetition(config, rep),
-                                    range(repetitions)))
+    repetitions = config["repetitions"]
+    with ThreadPoolExecutor(max_workers=config["threads"]) as pool:
+        results = list(pool.map(partial(_simulate_repetition, config), range(repetitions)))
     return _audited_report(_aggregate(results, repetitions),
                            {"mode": "simulate", "config": _manifest_config(config)})
 
@@ -461,10 +449,14 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
     All columns except the group and outcome columns are treated as numeric
     covariates. Returns (Cohort, ObservationMask, covariate_names); ground truth
     at missing positions is unknowable, so those cells carry 0 under the mask.
-    Cells are stripped, so a whitespace-only covariate cell is missing too.
-    Ragged rows, non-finite covariates and a third value in the group or
-    outcome column raise ConfigurationError naming the line and column.
+    Cells are stripped, so a whitespace-only covariate cell is missing too, and
+    blank lines are skipped. Ragged rows, non-finite covariates and a third value
+    in the group or outcome column raise ConfigurationError naming the line and
+    column.
     """
+    if group_column == outcome_column:
+        raise ConfigurationError(f"the group and outcome columns must differ, both are "
+                                 f"{group_column!r}")
     marks = (str(marginalised_value), str(positive_value))
     # a block that is not plainly valid sends the file to the row path, which names the
     # offending line and column (or parses the whitespace-only cells a block turns down)
@@ -488,9 +480,10 @@ def _read_table(path, group_column, outcome_column, marks, blocked):
         g_idx, y_idx = header.index(group_column), header.index(outcome_column)
         cov_idx = [i for i in range(len(header)) if i not in (g_idx, y_idx)]
         labels = {g_idx: [marks[0]], y_idx: [marks[1]]}
+        lines = filter(None, reader)    # csv.reader reads a blank line as []
         if blocked:
             blocks = []
-            while rows := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
+            while rows := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
                 block = _parse_block(rows, len(header), cov_idx, labels, (g_idx, y_idx))
                 if block is None:
                     return None
@@ -498,7 +491,7 @@ def _read_table(path, group_column, outcome_column, marks, blocked):
             X, binary = (np.concatenate(parts) for parts in zip(*blocks)) if blocks else ((), ())
         else:
             X, binary = [], []
-            for row in reader:
+            for row in lines:
                 where = f"{path}, line {reader.line_num}"
                 if len(row) != len(header):
                     raise ConfigurationError(

@@ -96,6 +96,11 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("population: {negative_cluster: 5}", "population.negative_cluster"),
     # bool("false") is True: the string ran the correlated generator
     ('population: {correlate_x2_with_x1: "false"}', "population"),
+    # a report cell is keyed by (scenario, imputer label): the two entries merged
+    ("scenarios: [{scenario: S1, target_covariate: 0}, S1]", "scenarios[1]"),
+    ("imputers: [{strategy: mice}, {strategy: mice, mice_draws: 2}]", "imputers[1]"),
+    # loaded, then exited 2 once the cohort was generated, naming no key
+    ("scenarios: [{scenario: S2, trigger_covariate: 5}]", "scenarios[0]"),
 ])
 def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     path = tmp_path / "run.yaml"
@@ -119,6 +124,8 @@ def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     ("population: {negative_cluster: {mean: [0, 0], variance: 0.1, varience: 2}}",
      "population.negative_cluster must be", "varience"),
     ("csv: {path: data.csv, group_colum: outcome}", "csv must be", "group_colum"),
+    # each scenario entry owns its masked covariate
+    ("target_covariate: 0", "unknown configuration key", "target_covariate"),
 ])
 def test_load_config_rejects_misspelled_nested_keys(tmp_path, text, key, misspelled):
     path = tmp_path / "run.yaml"
@@ -148,6 +155,25 @@ def test_runners_check_the_config_they_are_handed(tmp_path):
     plan = harness._plan(_small_config())
     specs = [plan["population"], plan["split"], *plan["scenarios"], *plan["imputers"]]
     assert all(spec.seed == 0 for spec in specs)     # the runners stamp the seeds
+
+
+def test_reconstruction_is_scored_on_each_scenario_target(monkeypatch):
+    covariates = []
+    original = metrics.reconstruction_error
+
+    def spy(parts, covariate):
+        covariates.append(covariate)
+        return original(parts, covariate)
+
+    monkeypatch.setattr(metrics, "reconstruction_error", spy)
+    config = _small_config(scenarios=[{"scenario": "S1", "target_covariate": 0}, "S2"])
+    rows = harness.run_simulation(config).rows
+    assert covariates == [0, 0, 1, 1] * config["repetitions"]
+    assert not [r for r in rows if r["error"]]
+    s1 = [r for r in rows if r["scenario"] == "S1" and r["metric"] == "reconstruction"]
+    # S1 masks marginalised rows only: the majority and the gap have no masked entry
+    assert len(s1) == 8 and all(r["n_values"] == (r["group"] in ("overall", "marginalised")) * 2
+                                for r in s1)
 
 
 def test_load_config_accepts_numeric_text_and_defaults(tmp_path):
@@ -401,11 +427,35 @@ def test_read_csv_cohort_names_a_bad_cell_in_a_later_block(tmp_path, edits, mess
     assert str(error.value) == f"{path}, {message}"
 
 
+def test_read_csv_cohort_skips_blank_lines(tmp_path):
+    def with_blank_lines(path):
+        """A copy with a blank line inside the second parse block and one at the end."""
+        lines = open(path, "rb").read().split(b"\r\n")   # header, 2600 rows, ""
+        copy = tmp_path / "blank.csv"
+        copy.write_bytes(b"\r\n".join(lines[:2102] + [b""] + lines[2102:]) + b"\r\n")
+        return str(copy)
+
+    plain = _csv_with_blocks(tmp_path / "plain.csv")
+    blank = with_blank_lines(plain)
+    assert harness._read_table(blank, "group", "outcome", ("1", "1"), True) is not None
+    (cohort, mask, names), expected = harness.read_csv_cohort(blank), harness.read_csv_cohort(plain)
+    assert names == expected[2] and np.array_equal(mask.observed, expected[1].observed)
+    for field in ("covariates", "group", "outcome"):
+        assert np.array_equal(getattr(cohort, field), getattr(expected[0], field))
+    blank = with_blank_lines(_csv_with_blocks(tmp_path / "bad.csv", edits={(2300, 1): "inf"}))
+    with pytest.raises(ConfigurationError) as error:     # data row 2300 is now on line 2303
+        harness.read_csv_cohort(blank)
+    assert str(error.value) == f"{blank}, line 2303, column 'x2': 'inf' is not a finite number"
+
+
 def test_read_csv_cohort_requires_columns(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ConfigurationError):
         harness.read_csv_cohort(str(path), "group", "outcome")
+    # one column as both group and outcome read the group as the outcome
+    with pytest.raises(ConfigurationError, match="group and outcome columns must differ"):
+        harness.read_csv_cohort(str(path), "a", "a")
 
 
 def test_make_standin_and_csv_audit(tmp_path):
