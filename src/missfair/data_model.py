@@ -158,7 +158,7 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.tune_fraction, self.test_fraction)
-        if any(f < 0 or f > 1 for f in fracs):
+        if not all(0 <= f <= 1 for f in fracs):     # written so that nan fails it
             raise ConfigurationError("fractions must lie in [0, 1]")
         if abs(sum(fracs) - 1.0) > 1e-12:
             raise ConfigurationError("fractions must sum to 1")

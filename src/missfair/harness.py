@@ -15,6 +15,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -97,73 +98,36 @@ def load_config(path=None, overrides=None):
             raise ConfigurationError("configuration file must hold a mapping")
         config = _merge(config, loaded)
     config = _merge(config, {k: v for k, v in (overrides or {}).items() if v is not None})
-    _check_numbers(config)
     _plan(config)
     return copy.deepcopy(config)    # editing a run's config must not touch the defaults
 
 
-_COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
-_INDEX = ("an integer >= 0", lambda v: isinstance(v, int) and v >= 0)
-_RATE = ("a number in [0, 1]", lambda v: 0 <= float(v) <= 1)
-_FINITE = ("a finite number", lambda v: math.isfinite(float(v)))
-# Numeric keys a bad value of which fails late, silently or unnamed; "[]" checks each entry.
-_NUMERIC_KEYS = {
-    "seed": _INDEX, "repetitions": _COUNT, "threads": _COUNT, "bootstrap_resamples": _COUNT,
-    "region.steps": _COUNT,
-    "population.n_majority": _COUNT, "population.n_marginalised": _COUNT,
-    "population.prevalence_majority": _RATE, "population.prevalence_marginalised": _RATE,
-    "split.train": _RATE, "split.tune": _RATE, "split.test": _RATE,
-    **{f"region.{key}": _FINITE for key in (
-        "alpha_g", "alpha_ng", "r_g", "mu_obs_g", "mu_obs_ng", "sigma", "rho_min", "rho_max")},
-    "model.fixed_penalty": ("a number >= 0", lambda v: 0 <= float(v) < math.inf),
-    "model.penalty_grid[]": ("a list of numbers > 0", lambda v: 0 < float(v) < math.inf),
-    "capacities[]": ("a list of numbers in (0, 1)", lambda v: 0 < float(v) < 1),
-}
-
-
-def _check_numbers(config):
-    """Raise ConfigurationError naming the first numeric key the runners cannot use."""
-    for key, (requirement, test) in _NUMERIC_KEYS.items():
-        value = config
-        for part in key.removesuffix("[]").split("."):
-            value = value.get(part) if isinstance(value, dict) else None
-        listed = key.endswith("[]")
-        try:    # float() also reads numeric strings such as "1e-3", which YAML keeps as text
-            ok = listed == isinstance(value, list) and all(
-                not isinstance(v, bool) and test(v) for v in (value if listed else [value]))
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ConfigurationError(
-                f"{key.removesuffix('[]')} must be {requirement}, got {value!r}")
-
-
 def _plan(config):
-    """Seed-free specs of every section a run builds; the runners stamp the seeds.
-
-    Each section is built by one function; one that cannot be built, or a
-    scenario or imputer entry that repeats a report cell, raises
+    """Seed-free specs of every section and the run settings ("run"); the runners stamp
+    the seeds. `_entry` reads every value, so what loads is what runs. A section that
+    cannot be built, or a scenario or imputer entry that repeats a report cell, raises
     ConfigurationError naming its key. `csv` is None when the section is unset.
     """
     for section in ("scenarios", "imputers"):
         if not isinstance(config[section], list):
             raise ConfigurationError(f"{section} must be a list, got {config[section]!r}")
-    p, s = config["population"], config["split"]
-    clusters = {name: _build(f"population.{name}", _entry, ClusterSpec, p[name], _CLUSTER_KINDS)
-                for name in _CLUSTERS}
-    population = _build("population", _entry, PopulationSpec, {**p, **clusters},
-                        _POPULATION_KINDS)
+    population = _entry("population", PopulationSpec, config["population"], _POPULATION_KINDS)
     d = len(population.negative_cluster.mean)
     plan = {
+        "run": _entry("", dict, {key: config[key] for key in _RUN_KINDS}, _RUN_KINDS),
         "population": population,
-        "split": _build("split", _split_spec, (s["train"], s["tune"], s["test"])),
-        "model": _build("model", _logistic_spec, config["model"]),
-        "region": _build("region", _region_spec, config["region"]),
-        "scenarios": [_build(f"scenarios[{i}]", _scenario_spec, entry, d)
+        "split": _entry("split", lambda train, tune, test: SplitSpec(train, tune, test),
+                        config["split"], dict.fromkeys(("train", "tune", "test"), _RATE)),
+        "model": _entry("model", predict.LogisticSpec, config["model"], _MODEL_KINDS),
+        "region": _entry("region", _region_spec, config["region"], _REGION_KINDS),
+        "scenarios": [_entry(f"scenarios[{i}]", partial(_scenario_spec, d),
+                             {"scenario": entry} if isinstance(entry, str) else entry,
+                             _SCENARIO_KINDS)
                       for i, entry in enumerate(config["scenarios"])],
-        "imputers": [_build(f"imputers[{i}]", _entry, impute.ImputerSpec, entry, _IMPUTER_KINDS)
+        "imputers": [_entry(f"imputers[{i}]", impute.ImputerSpec, entry, _IMPUTER_KINDS)
                      for i, entry in enumerate(config["imputers"])],
-        "csv": None if config["csv"] is None else _build("csv", _csv_spec, config["csv"]),
+        "csv": None if config["csv"] is None else _entry("csv", _csv_spec, config["csv"],
+                                                         _CSV_KINDS),
     }
     # a report cell is keyed by (scenario, imputer label): a repeat would merge two cells
     for section, labels in (("scenarios", [spec.scenario for spec in plan["scenarios"]]),
@@ -174,90 +138,123 @@ def _plan(config):
     return plan
 
 
-def _build(key, build, *args):
-    """build(*args); a bad entry's error is raised as a ConfigurationError naming `key`."""
-    try:
-        return build(*args)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigurationError(
-            f"{key} must be a usable entry ({type(exc).__name__}: {exc})") from exc
-
-
-_CLUSTERS = ("negative_cluster", "positive_majority_cluster", "positive_marginalised_cluster")
-# How _entry reads each key of an entry: int, bool and str values must already be of
-# that type, float and tuple convert, None takes the value as given.
-_CLUSTER_KINDS = {"mean": tuple, "variance": float}
-_POPULATION_KINDS = {"n_majority": int, "n_marginalised": int, "prevalence_majority": float,
-                     "prevalence_marginalised": float, "correlate_x2_with_x1": bool,
-                     **dict.fromkeys(_CLUSTERS)}
-_SCENARIO_KINDS = {"scenario": str, "target_covariate": int, "trigger_covariate": int,
-                   "threshold": float, "mask_probability": float}
-_IMPUTER_KINDS = {"strategy": str, "append_indicators": bool, "mice_iterations": int,
-                  "mice_draws": int}
-_CSV_KINDS = {"path": str, "group_column": str, "outcome_column": str,
-              "marginalised_value": None, "positive_value": None, "fractions": tuple}
-
-
-def _entry(cls, entry, kinds):
-    """cls(**entry) with each value read by its kind in `kinds`; a key the entry leaves
-    out keeps cls's default. A non-mapping entry or a misspelled key, which would
-    silently run its default, is rejected; a bool is not an int here."""
+def _entry(where, build, entry, kinds):
+    """build(**values), each value of the mapping `entry` read by its kind; an omitted key
+    keeps build's default. A value its kind cannot read raises `<where>.<key> must be
+    <requirement>, got <value>`; a non-mapping, a misspelled key (which would silently run
+    its default) or values `build` rejects raise `<where> must be a usable entry (...)`."""
     if not isinstance(entry, dict):
-        raise TypeError(f"expected a mapping, got {entry!r}")
-    unknown = sorted(entry.keys() - kinds.keys())
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
-    values = {}
-    for key, value in entry.items():
-        kind = kinds[key]
-        if kind in (float, tuple):
-            value = kind(value)
-        elif kind is not None and (isinstance(value, bool) != (kind is bool)
-                                   or not isinstance(value, kind)):
-            raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
-        values[key] = value
-    return cls(**values)
+        problem = TypeError(f"expected a mapping, got {entry!r}")
+    elif unknown := sorted(entry.keys() - kinds.keys()):
+        problem = ValueError(f"unknown key {unknown[0]!r}")
+    else:
+        values = {key: kinds[key](f"{where}.{key}" if where else key, value)
+                  for key, value in entry.items()}
+        try:
+            return build(**values)
+        except (TypeError, ValueError) as exc:
+            problem = exc
+    raise ConfigurationError(
+        f"{where} must be a usable entry ({type(problem).__name__}: {problem})") from problem
 
 
-def _split_spec(fractions):
-    if len(fractions) != 3:
-        raise ValueError(f"fractions must be three numbers (train, tune, test), got {fractions!r}")
-    return SplitSpec(*(float(f) for f in fractions))
+class _Kind(NamedTuple):
+    """How `_entry` reads a key: `read` returns the value as the specs take it, or raises
+    TypeError or ValueError where the value is not `requirement`."""
+    requirement: str
+    read: Callable
+
+    def __call__(self, where, value):
+        try:
+            return self.read(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(f"{where} must be {self.requirement}, got {value!r}") from None
 
 
-def _scenario_spec(entry, d):
-    """A scenario entry, or its bare name, as a ScenarioSpec over covariates [0, d)."""
-    spec = _entry(ScenarioSpec, {"scenario": entry} if isinstance(entry, str) else entry,
-                  _SCENARIO_KINDS)
+def _typed(kind, ok=lambda value: True):
+    """Reads a value already of type `kind` that passes `ok`; a bool is only a bool."""
+    def read(value):
+        if isinstance(value, kind) and isinstance(value, bool) == (kind is bool) and ok(value):
+            return value
+        raise TypeError
+    return read
+
+
+def _number(ok=lambda number: True):
+    """Reads a finite number that passes `ok`, given as a number or as numeric text such
+    as "1e-3", which YAML keeps as text; a bool is not a number."""
+    def read(value):
+        number = math.nan if isinstance(value, bool) else float(value)
+        if math.isfinite(number) and ok(number):
+            return number
+        raise ValueError
+    return read
+
+
+def _items(read):
+    """Reads a list, as a tuple, whose every item `read` reads."""
+    return lambda value: tuple(map(read, _typed((list, tuple))(value)))
+
+
+_INT = _Kind("an integer", _typed(int))
+_BOOL = _Kind("true or false", _typed(bool))
+_STR = _Kind("a string", _typed(str))
+_COUNT = _Kind("an integer >= 1", _typed(int, lambda value: value >= 1))
+_FINITE = _Kind("a finite number", _number())
+_RATE = _Kind("a number in [0, 1]", _number(lambda number: 0 <= number <= 1))
+_POSITIVE = _Kind("a finite number > 0", _number(lambda number: number > 0))
+_RUN_KINDS = {"seed": _Kind("an integer >= 0", _typed(int, lambda value: value >= 0)),
+              "repetitions": _COUNT, "threads": _COUNT, "bootstrap_resamples": _COUNT,
+              "capacities": _Kind("a list of numbers in (0, 1)",
+                                  _items(_number(lambda capacity: 0 < capacity < 1))),
+              "output_dir": _STR}
+_CLUSTER_KINDS = {"mean": _Kind("a list of finite numbers", _items(_FINITE.read)),
+                  "variance": _POSITIVE}
+_POPULATION_KINDS = {
+    "n_majority": _COUNT, "n_marginalised": _COUNT, "prevalence_majority": _RATE,
+    "prevalence_marginalised": _RATE, "correlate_x2_with_x1": _BOOL,
+    **dict.fromkeys(("negative_cluster", "positive_majority_cluster",
+                     "positive_marginalised_cluster"),
+                    lambda where, entry: _entry(where, ClusterSpec, entry, _CLUSTER_KINDS))}
+_MODEL_KINDS = {
+    "fixed_penalty": _Kind("a finite number >= 0", _number(lambda number: number >= 0)),
+    "penalty_grid": _Kind("a list of finite numbers > 0", _items(_POSITIVE.read))}
+_REGION_KINDS = {**dict.fromkeys(("alpha_g", "alpha_ng", "r_g", "mu_obs_g", "mu_obs_ng",
+                                  "sigma", "rho_min", "rho_max"), _FINITE), "steps": _COUNT}
+_SCENARIO_KINDS = {"scenario": _STR, "target_covariate": _INT, "trigger_covariate": _INT,
+                   "threshold": _FINITE, "mask_probability": _RATE}
+_IMPUTER_KINDS = {"strategy": _STR, "append_indicators": _BOOL, "mice_iterations": _COUNT,
+                  "mice_draws": _COUNT}
+_CSV_KINDS = {"path": _STR, "group_column": _STR, "outcome_column": _STR,
+              **dict.fromkeys(("marginalised_value", "positive_value"),
+                              _Kind("any value", lambda value: value)),
+              "fractions": _Kind("a list of numbers in [0, 1]", _items(_RATE.read))}
+
+
+def _scenario_spec(d, **values):
+    """A ScenarioSpec over covariates [0, d)."""
+    spec = ScenarioSpec(**values)
     if not (0 <= spec.target_covariate < d and 0 <= spec.trigger_covariate < d):
         raise ValueError(f"target_covariate and trigger_covariate must lie in [0, {d}), "
                          f"got {spec.target_covariate} and {spec.trigger_covariate}")
     return spec
 
 
-def _logistic_spec(model):
-    return predict.LogisticSpec(
-        penalty_grid=tuple(float(p) for p in model["penalty_grid"]),
-        fixed_penalty=float(model["fixed_penalty"]),
-    )
-
-
-def _region_spec(region):
+def _region_spec(alpha_g, alpha_ng, r_g, mu_obs_g, mu_obs_ng, sigma, rho_min, rho_max, steps):
     """The region section as the scan's base TheoremInputs and its rho grid."""
-    r = {key: float(value) for key, value in region.items()}
-    sigma = r["sigma"]
     return theory.TheoremInputs(
-        alpha_g=r["alpha_g"], alpha_ng=r["alpha_ng"], rho_g=0.0, rho_ng=0.0, r_g=r["r_g"],
+        alpha_g=alpha_g, alpha_ng=alpha_ng, rho_g=0.0, rho_ng=0.0, r_g=r_g,
         sigma_g=sigma, sigma_ng=sigma, var_unobs_g=sigma * sigma, var_unobs_ng=sigma * sigma,
-        mu_obs_g=r["mu_obs_g"], mu_obs_ng=r["mu_obs_ng"],
-    ), np.linspace(r["rho_min"], r["rho_max"], region["steps"])
+        mu_obs_g=mu_obs_g, mu_obs_ng=mu_obs_ng,
+    ), np.linspace(rho_min, rho_max, steps)
 
 
-def _csv_spec(entry):
+def _csv_spec(fractions=(0.8, 0.1, 0.1), **arguments):
     """The csv section as (read_csv_cohort keyword arguments, seed-free SplitSpec);
     an omitted column or value keeps read_csv_cohort's default."""
-    arguments = _entry(dict, entry, _CSV_KINDS)
-    return arguments, _split_spec(arguments.pop("fractions", (0.8, 0.1, 0.1)))
+    if len(fractions) != 3:
+        raise ValueError(f"fractions must be three numbers (train, tune, test), got {fractions!r}")
+    return arguments, SplitSpec(*fractions)
 
 
 def _derived_seed(*entropy):
@@ -304,7 +301,8 @@ def _run_cell(imputer_spec, logistic_spec, partitions, capacities, target=None,
 
 def _simulate_repetition(config, rep):
     """One end-to-end repetition; returns (records, errors) keyed by cell."""
-    plan, seed = _plan(config), config["seed"]
+    plan = _plan(config)
+    seed = plan["run"]["seed"]
     cohort = generate(replace(plan["population"], seed=_derived_seed(seed, rep, 0)))
     split_spec = replace(plan["split"], seed=_derived_seed(seed, rep, 1))
     records, errors = {}, {}
@@ -316,7 +314,7 @@ def _simulate_repetition(config, rep):
             cell = (scenario_spec.scenario, imputer_spec.label())
             values, error = _run_cell(
                 replace(imputer_spec, seed=_derived_seed(seed, rep, 3, i_index)), plan["model"],
-                partitions, config["capacities"], scenario_spec.target_covariate)
+                partitions, plan["run"]["capacities"], scenario_spec.target_covariate)
             if error:
                 errors[cell] = error
             else:
@@ -417,10 +415,10 @@ def audit_sign_convention(rows, tolerance=1e-9):
 
 def run_simulation(config):
     """Repeat generate/mask/split/impute/train/audit; aggregate across repetitions."""
-    repetitions = config["repetitions"]
-    with ThreadPoolExecutor(max_workers=config["threads"]) as pool:
-        results = list(pool.map(partial(_simulate_repetition, config), range(repetitions)))
-    return _audited_report(_aggregate(results, repetitions),
+    run = _plan(config)["run"]
+    with ThreadPoolExecutor(max_workers=run["threads"]) as pool:
+        results = list(pool.map(partial(_simulate_repetition, config), range(run["repetitions"])))
+    return _audited_report(_aggregate(results, run["repetitions"]),
                            {"mode": "simulate", "config": _manifest_config(config)})
 
 
@@ -557,19 +555,19 @@ def run_csv_audit(config):
     penalty is tuned on the middle partition; metrics are bootstrapped over test
     rows. No reconstruction error is reported: ground truth at missing cells is unknown.
     """
-    plan, seed = _plan(config), config["seed"]
+    plan = _plan(config)
+    seed, resamples = plan["run"]["seed"], plan["run"]["bootstrap_resamples"]
     if plan["csv"] is None or "path" not in plan["csv"][0]:
         raise ConfigurationError("csv.path must be set for audit-csv")
     arguments, split_spec = plan["csv"]
     cohort, mask, names = read_csv_cohort(**arguments)
     partitions = split(cohort, mask, replace(split_spec, seed=_derived_seed(seed, 0, 1)))
-    resamples = config["bootstrap_resamples"]
 
     rows = []
     for i_index, imputer_spec in enumerate(plan["imputers"]):
         cell = ("csv", imputer_spec.label())
         values, error = _run_cell(replace(imputer_spec, seed=_derived_seed(seed, 0, 3, i_index)),
-                                  plan["model"], partitions, config["capacities"],
+                                  plan["model"], partitions, plan["run"]["capacities"],
                                   resamples=resamples,
                                   bootstrap_seed=_derived_seed(seed, 0, 4, i_index))
         if error:

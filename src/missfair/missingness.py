@@ -29,6 +29,8 @@ class ScenarioSpec:
             raise ConfigurationError(f"scenario must be one of {SCENARIOS}")
         if not 0.0 <= self.mask_probability <= 1.0:
             raise ConfigurationError("mask_probability must lie in [0, 1]")
+        if not math.isfinite(self.threshold):
+            raise ConfigurationError("threshold must be a finite number")
 
 
 @dataclass(frozen=True)

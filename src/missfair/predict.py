@@ -5,6 +5,7 @@ probabilities. Raw covariates are standardised to training moments; appended
 missingness indicators are left on their 0/1 scale.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,12 @@ class LogisticSpec:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.fixed_penalty < 0:
-            raise ConfigurationError("fixed_penalty must be non-negative")
-        if any(p <= 0 for p in self.penalty_grid):
-            raise ConfigurationError("penalty grid entries must be positive")
+        # each comparison is written so that nan fails it
+        if not 0 <= self.fixed_penalty < math.inf:
+            raise ConfigurationError("fixed_penalty must be a finite number >= 0")
+        if not (self.penalty_grid and all(0 < p < math.inf for p in self.penalty_grid)):
+            raise ConfigurationError("penalty grid must hold finite positive penalties, "
+                                     f"got {self.penalty_grid!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Synthetic cohort generator: three isotropic Gaussian clusters, two groups."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,9 +14,10 @@ class ClusterSpec:
     variance: float
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ConfigurationError("cluster variance must be positive")
         object.__setattr__(self, "mean", tuple(float(m) for m in self.mean))
+        # written so that nan fails it
+        if not (0 < self.variance < math.inf and all(map(math.isfinite, self.mean))):
+            raise ConfigurationError("cluster mean must be finite, variance finite and positive")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,5 @@ def test_split_spec_fraction_validation():
         SplitSpec(0.5, 0.5, 0.5, seed=0)
     with pytest.raises(ConfigurationError):
         SplitSpec(-0.1, 0.6, 0.5, seed=0)
+    with pytest.raises(ConfigurationError):
+        SplitSpec(math.nan, 0.0, 1.0, seed=0)

@@ -72,21 +72,22 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("split: {train: abc}", "split.train"),                # bare ValueError from float()
     ("region: {sigma: abc}", "region.sigma"),              # bare ValueError from float()
     # Spec-building sections raised a bare ValueError only once simulate had started.
-    ("scenarios: [{scenario: S1, mask_probability: high}]", "scenarios[0]"),
-    ("imputers: [{strategy: mice, mice_draws: abc}]", "imputers[0]"),
+    ("scenarios: [{scenario: S1, mask_probability: high}]", "scenarios[0].mask_probability"),
+    ("imputers: [{strategy: mice, mice_draws: abc}]", "imputers[0].mice_draws"),
     ("population: {negative_cluster: {mean: [0, 0], variance: abc}}",
-     "population.negative_cluster"),
+     "population.negative_cluster.variance"),
     ("scenarios: [S4]", "scenarios[0]"),
     ("imputers: [{strategy: bogus}]", "imputers[0]"),
     # bool("false") is True: the string ran with indicators appended
-    ('imputers: [{strategy: group_mice, append_indicators: "false"}]', "imputers[0]"),
+    ('imputers: [{strategy: group_mice, append_indicators: "false"}]',
+     "imputers[0].append_indicators"),
     # int() truncated these to 2 draws or iterations
-    ("imputers: [{strategy: mice, mice_draws: 2.7}]", "imputers[0]"),
-    ("imputers: [{strategy: mice, mice_iterations: 2.7}]", "imputers[0]"),
+    ("imputers: [{strategy: mice, mice_draws: 2.7}]", "imputers[0].mice_draws"),
+    ("imputers: [{strategy: mice, mice_iterations: 2.7}]", "imputers[0].mice_iterations"),
     # csv was checked by nothing: a bare IndexError, a bare ValueError, open(5) read fd 5
     ("csv: {path: data.csv, fractions: [0.8, 0.2]}", "csv"),
-    ('csv: {path: data.csv, fractions: ["a", 0.1, 0.1]}', "csv"),
-    ("csv: {path: 5}", "csv"),
+    ('csv: {path: data.csv, fractions: ["a", 0.1, 0.1]}', "csv.fractions"),
+    ("csv: {path: 5}", "csv.path"),
     ("csv: notadict", "csv"),
     # loaded, then failed only after the cohort was generated
     ("split: {train: 0.5}", "split"),
@@ -95,12 +96,25 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("scenarios: [5]", "scenarios[0]"),
     ("population: {negative_cluster: 5}", "population.negative_cluster"),
     # bool("false") is True: the string ran the correlated generator
-    ('population: {correlate_x2_with_x1: "false"}', "population"),
+    ('population: {correlate_x2_with_x1: "false"}', "population.correlate_x2_with_x1"),
     # a report cell is keyed by (scenario, imputer label): the two entries merged
     ("scenarios: [{scenario: S1, target_covariate: 0}, S1]", "scenarios[1]"),
     ("imputers: [{strategy: mice}, {strategy: mice, mice_draws: 2}]", "imputers[1]"),
     # loaded, then exited 2 once the cohort was generated, naming no key
     ("scenarios: [{scenario: S2, trigger_covariate: 5}]", "scenarios[0]"),
+    # audit-csv died with ValueError: cannot convert float NaN to integer
+    ("csv: {path: s.csv, fractions: [.nan, 0.1, 0.1]}", "csv.fractions"),
+    # the run exited 2 with "ground-truth covariates must be complete and finite"
+    ("population: {negative_cluster: {mean: [0, 0], variance: .inf}}",
+     "population.negative_cluster.variance"),
+    ("population: {negative_cluster: {mean: [0, 0], variance: .nan}}",
+     "population.negative_cluster.variance"),
+    ("population: {negative_cluster: {mean: [.nan, 0], variance: 0.1}}",
+     "population.negative_cluster.mean"),
+    # the only report row was "UndefinedMetricError: no masked entries to score"
+    ("scenarios: [{scenario: S2, threshold: .nan}]", "scenarios[0].threshold"),
+    # audit-csv, which tunes the penalty, died with IndexError
+    ("model: {penalty_grid: []}", "model"),
 ])
 def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     path = tmp_path / "run.yaml"
@@ -113,6 +127,19 @@ def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     assert exit_info.value.code == 2
     assert "wrote" not in capsys.readouterr().out
     assert not out.exists()
+
+
+def test_config_messages_name_the_key_or_the_entry(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("scenarios: [{scenario: S2, threshold: .nan}]\n")
+    with pytest.raises(ConfigurationError) as error:
+        harness.load_config(str(path))
+    assert str(error.value) == "scenarios[0].threshold must be a finite number, got nan"
+    path.write_text("split: {train: 0.5}\n")
+    with pytest.raises(ConfigurationError) as error:
+        harness.load_config(str(path))
+    assert str(error.value) == \
+        "split must be a usable entry (ConfigurationError: fractions must sum to 1)"
 
 
 @pytest.mark.parametrize("text, key, misspelled", [
@@ -181,6 +208,35 @@ def test_load_config_accepts_numeric_text_and_defaults(tmp_path):
     path.write_text("model: {fixed_penalty: 1e-3}\ncapacities: [0.1]\n")
     assert harness.load_config(str(path))["model"]["fixed_penalty"] == "1e-3"
     assert harness.load_config() == harness.DEFAULT_CONFIG
+
+
+def test_capacities_given_as_numeric_text_run_as_numbers(tmp_path):
+    # loaded, then simulate and audit-csv died comparing a float with a str (exit 1)
+    path = tmp_path / "run.yaml"
+    path.write_text('capacities: ["0.5"]\n')
+    config = harness.load_config(str(path))
+    assert config["capacities"] == ["0.5"] and harness._plan(config)["run"]["capacities"] == (0.5,)
+    config = _small_config(repetitions=1, scenarios=["S1"], capacities=["0.5"])
+    rows = harness.run_simulation(config).rows
+    assert {r["metric"] for r in rows} >= {"fnr@0.5", "prioritisation@0.5"}
+    assert not [r for r in rows if r["error"]]
+
+
+@pytest.mark.parametrize("text, value", [("output_dir: 5", "5"), ("output_dir: null", "None")])
+def test_load_config_rejects_an_output_dir_that_is_not_text(tmp_path, monkeypatch, capsys,
+                                                             text, value):
+    # loaded, ran the whole experiment, then Report.write raised TypeError (exit 1)
+    path = tmp_path / "run.yaml"
+    path.write_text(f"{text}\nrepetitions: 1\n")
+    with pytest.raises(ConfigurationError) as error:
+        harness.load_config(str(path))
+    assert str(error.value) == f"output_dir must be a string, got {value}"
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["simulate", "--config", str(path)])
+    assert exit_info.value.code == 2
+    assert "wrote" not in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == ["run.yaml"]
 
 
 def test_simulation_report_structure_and_sign_audit(tmp_path):

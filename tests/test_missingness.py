@@ -57,6 +57,10 @@ def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         ScenarioSpec("S1", mask_probability=1.5)
     with pytest.raises(ConfigurationError):
+        ScenarioSpec("S1", mask_probability=math.nan)
+    with pytest.raises(ConfigurationError):
+        ScenarioSpec("S2", threshold=math.nan)
+    with pytest.raises(ConfigurationError):
         apply_scenario(_cohort(n=10), ScenarioSpec("S1", target_covariate=5))
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -138,6 +139,16 @@ def test_constant_feature_does_not_break_standardisation():
     model = predict.train(ImputationResult((X,)), y, LogisticSpec(fixed_penalty=1.0))
     scores = predict.predict(model, ImputationResult((X,)))
     assert np.isfinite(scores).all()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"fixed_penalty": -1.0}, {"fixed_penalty": math.nan}, {"fixed_penalty": math.inf},
+    {"penalty_grid": (0.0,)}, {"penalty_grid": (math.nan,)}, {"penalty_grid": (1.0, math.inf)},
+    {"penalty_grid": ()},   # the tuned path indexed an empty list of fits
+])
+def test_logistic_spec_validation(kwargs):
+    with pytest.raises(ConfigurationError):
+        LogisticSpec(**kwargs)
 
 
 def test_feature_count_mismatch_rejected():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,5 +64,9 @@ def test_spec_validation():
         _spec(prevalence_majority=1.5)
     with pytest.raises(ConfigurationError):
         ClusterSpec((0.0, 0.0), 0.0)
+    for mean, variance in (((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf),
+                           ((math.nan, 0.0), 0.1), ((0.0, math.inf), 0.1)):
+        with pytest.raises(ConfigurationError):
+            ClusterSpec(mean, variance)
     with pytest.raises(ConfigurationError):
         _spec(positive_majority_cluster=ClusterSpec((0.0, 1.0, 2.0), 0.1))
