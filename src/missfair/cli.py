@@ -13,12 +13,13 @@ def _add_common(parser):
     parser.add_argument("--out", help="override the output directory")
 
 
-def _positive(kind):
-    """argparse type: a number of the given kind that is greater than zero."""
+def _positive(kind, zero_ok=False):
+    """argparse type: a number of the given kind that is greater than 0 (or 0, if zero_ok)."""
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+        if not (value >= 0 if zero_ok else value > 0):
+            requirement = "0 or more" if zero_ok else "greater than 0"
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
         return value
     parse.__name__ = kind.__name__      # argparse says "invalid int value: ..."
     return parse
@@ -48,12 +49,12 @@ def main(argv=None):
                        help="Monte Carlo check of the closed-form error formulas")
     p.add_argument("--cases", type=_positive(int), default=20)
     p.add_argument("--samples", type=_positive(int), default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     p.add_argument("--tolerance", type=_positive(float), default=0.02)
 
     p = sub.add_parser("make-standin", help="write a stand-in CSV for audit-csv")
     p.add_argument("--out", required=True, help="destination CSV path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
 
     args = parser.parse_args(argv)
     try:

@@ -109,8 +109,8 @@ def _plan(config):
     ConfigurationError naming its key. `csv` is None when the section is unset.
     """
     for section in ("scenarios", "imputers"):
-        if not isinstance(config[section], list):
-            raise ConfigurationError(f"{section} must be a list, got {config[section]!r}")
+        if not (isinstance(config[section], list) and config[section]):
+            raise ConfigurationError(f"{section} must be a non-empty list, got {config[section]!r}")
     population = _entry("population", PopulationSpec, config["population"], _POPULATION_KINDS)
     d = len(population.negative_cluster.mean)
     plan = {
@@ -646,7 +646,7 @@ def make_standin(path, seed=0, n_majority=20000, n_marginalised=2000, n_noise=8)
     noise = rng.standard_normal((cohort.n, n_noise))
     header = [f"x{j + 1}" for j in range(2 + n_noise)] + ["group", "outcome"]
     values = (*cohort.covariates[:, :2].T, *noise.T, cohort.group, cohort.outcome)
-    with open(path, "w", newline="") as handle:
+    with _open(path, mode="w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for start in range(0, cohort.n, _STANDIN_BLOCK_ROWS):

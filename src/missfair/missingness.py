@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .data_model import ConfigurationError, ObservationMask
-from .linalg_stat import normal_cdf_inv, normal_pdf
 
 SCENARIOS = ("S1", "S2", "S3")
+STANDARD_NORMAL = NormalDist()
 
 
 class InfeasibleCorrelationError(ValueError):
@@ -53,16 +54,16 @@ class CalibratedMechanismSpec:
 
 def rho_feasible_bound(alpha):
     """Largest |Corr(O, X)| a Gaussian latent threshold at rate alpha can produce."""
-    z = normal_cdf_inv(alpha)
-    return normal_pdf(z) / math.sqrt(alpha * (1.0 - alpha))
+    z = STANDARD_NORMAL.inv_cdf(alpha)
+    return STANDARD_NORMAL.pdf(z) / math.sqrt(alpha * (1.0 - alpha))
 
 
 def latent_threshold(alpha, rho):
     """(z_alpha, r) of the Gaussian latent threshold O = 1[Z <= z_alpha], Corr(Z, X_std) = r,
     that realises observation rate alpha and Corr(O, X) = rho by the bivariate-normal
     point-biserial identity. Raises InfeasibleCorrelationError when |r| > 1."""
-    z_alpha = normal_cdf_inv(alpha)
-    r = -rho * math.sqrt(alpha * (1.0 - alpha)) / normal_pdf(z_alpha)
+    z_alpha = STANDARD_NORMAL.inv_cdf(alpha)
+    r = -rho * math.sqrt(alpha * (1.0 - alpha)) / STANDARD_NORMAL.pdf(z_alpha)
     if abs(r) > 1.0:
         raise InfeasibleCorrelationError(
             f"rho={rho} infeasible at alpha={alpha}: latent-threshold bound is "

@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_model import Cohort, ConfigurationError
-from .linalg_stat import normal_cdf, normal_pdf
-from .missingness import CalibratedMechanismSpec, apply_calibrated, latent_threshold
+from .missingness import (STANDARD_NORMAL, CalibratedMechanismSpec, apply_calibrated,
+                          latent_threshold)
 
 
 class SingularityError(ValueError):
@@ -218,8 +218,8 @@ def region_scan(base, rho_g_values, rho_ng_values):
 def latent_threshold_unobserved_variance(alpha, rho, sigma):
     """Var(X | not O) implied by the calibrated latent-threshold mechanism."""
     z, r = latent_threshold(alpha, rho)
-    # Z | Z > z is the unobserved side; its variance is 1 - hazard * (hazard - z).
-    hazard = normal_pdf(z) / (1.0 - normal_cdf(z))
+    # Z | Z > z, the unobserved side (P = 1 - alpha), has variance 1 - hazard * (hazard - z).
+    hazard = STANDARD_NORMAL.pdf(z) / (1.0 - alpha)
     delta = hazard * (hazard - z)
     return sigma * sigma * (1.0 - r * r * delta)
 

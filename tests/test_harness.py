@@ -115,6 +115,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("scenarios: [{scenario: S2, threshold: .nan}]", "scenarios[0].threshold"),
     # audit-csv, which tunes the penalty, died with IndexError
     ("model: {penalty_grid: []}", "model"),
+    # ran no cell, printed "wrote <out>/report.csv" and wrote only manifest.json
+    ("scenarios: []", "scenarios"),
+    ("imputers: []", "imputers"),
 ])
 def test_load_config_rejects_unusable_numbers(tmp_path, capsys, text, key):
     path = tmp_path / "run.yaml"
@@ -595,6 +598,7 @@ def test_theorem_validation_runs_small():
     (["--tolerance", "-0.5"], "must be greater than 0"),
     # a ConfigurationError traceback with exit code 1
     (["--cases", "1", "--samples", "1"], "leaves the marginalised group no rows"),
+    (["--seed", "-1"], "must be 0 or more"),    # numpy's ValueError traceback, exit 1
 ])
 def test_validate_theorems_rejects_non_positive_arguments(capsys, args):
     argv, message = args
@@ -602,6 +606,18 @@ def test_validate_theorems_rejects_non_positive_arguments(capsys, args):
         cli.main(["validate-theorems", *argv])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_make_standin_rejects_a_negative_seed_and_an_unopenable_path(capsys, tmp_path):
+    # each died with a traceback and exit 1: numpy's ValueError, then FileNotFoundError
+    for argv in (["--out", str(tmp_path / "s.csv"), "--seed", "-1"],
+                 ["--out", str(tmp_path / "absent" / "s.csv")]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["make-standin", *argv])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert "wrote" not in out and err.count("error:") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_reports_configuration_errors_as_usage_errors(capsys, tmp_path):

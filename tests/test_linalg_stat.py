@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from scipy import stats
 
-from missfair.linalg_stat import (SingularSystemError, normal_cdf, normal_cdf_inv,
-                                  normal_pdf, ols_solve)
+from missfair.linalg_stat import SingularSystemError, ols_solve
 
 
 def test_ols_recovers_exact_coefficients():
@@ -48,32 +46,3 @@ def test_unsolvable_system_raises():
     X = np.zeros((10, 2))
     with pytest.raises(SingularSystemError):
         ols_solve(X, np.ones(10))
-
-
-def test_normal_cdf_matches_reference():
-    grid = np.linspace(-8, 8, 2001)
-    ours = np.array([normal_cdf(x) for x in grid])
-    assert np.max(np.abs(ours - stats.norm.cdf(grid))) < 1e-12
-
-
-def test_normal_pdf_matches_reference():
-    grid = np.linspace(-8, 8, 2001)
-    ours = np.array([normal_pdf(x) for x in grid])
-    assert np.max(np.abs(ours - stats.norm.pdf(grid))) < 1e-12
-
-
-def test_normal_cdf_inv_matches_reference():
-    grid = np.linspace(1e-9, 1 - 1e-9, 4001)
-    ours = np.array([normal_cdf_inv(p) for p in grid])
-    assert np.max(np.abs(ours - stats.norm.ppf(grid))) < 1e-9
-
-
-def test_normal_cdf_inv_round_trip():
-    for p in (1e-7, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-7):
-        assert normal_cdf(normal_cdf_inv(p)) == pytest.approx(p, abs=1e-12)
-
-
-def test_normal_cdf_inv_rejects_out_of_range():
-    for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            normal_cdf_inv(p)

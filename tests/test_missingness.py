@@ -153,6 +153,34 @@ def test_feasible_bound_is_symmetric_and_below_one():
         assert b == pytest.approx(rho_feasible_bound(1 - alpha), abs=1e-12)
 
 
+RATES = np.linspace(1e-9, 1 - 1e-9, 4001)
+
+
+def test_latent_threshold_quantile_matches_reference():
+    stats = pytest.importorskip("scipy.stats")
+    ours = np.array([latent_threshold(a, 0.0)[0] for a in RATES])
+    assert np.max(np.abs(ours - stats.norm.ppf(RATES))) < 1e-12
+
+
+def test_latent_threshold_quantile_round_trips_through_reference_cdf():
+    stats = pytest.importorskip("scipy.stats")
+    ours = np.array([latent_threshold(a, 0.0)[0] for a in RATES])
+    assert np.max(np.abs(stats.norm.cdf(ours) - RATES)) < 1e-14
+
+
+def test_feasible_bound_matches_reference():
+    stats = pytest.importorskip("scipy.stats")
+    ours = np.array([rho_feasible_bound(a) for a in RATES])
+    expected = stats.norm.pdf(stats.norm.ppf(RATES)) / np.sqrt(RATES * (1 - RATES))
+    assert np.max(np.abs(ours / expected - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.1])
+def test_latent_threshold_rejects_rates_outside_the_open_unit_interval(alpha):
+    with pytest.raises(ValueError):
+        latent_threshold(alpha, 0.0)
+
+
 def test_describe_handcrafted_values():
     X = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0],
                   [0.0, 10.0], [0.0, 20.0]])

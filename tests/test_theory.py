@@ -176,6 +176,20 @@ def test_latent_threshold_variance_matches_oracle():
         theory.latent_threshold_unobserved_variance(0.5, rho_feasible_bound(0.5) + 0.01, 1.0)
 
 
+def test_latent_threshold_variance_matches_truncated_normal():
+    stats = pytest.importorskip("scipy.stats")
+    sigma = 1.3
+    for alpha in np.linspace(0.05, 0.95, 19):
+        for share in (-0.9, -0.4, 0.0, 0.4, 0.9):
+            rho = share * rho_feasible_bound(alpha)
+            z = stats.norm.ppf(alpha)
+            r = -rho * math.sqrt(alpha * (1 - alpha)) / stats.norm.pdf(z)
+            hazard = stats.norm.pdf(z) / stats.norm.sf(z)
+            expected = sigma ** 2 * (1 - r * r * hazard * (hazard - z))
+            ours = theory.latent_threshold_unobserved_variance(alpha, rho, sigma)
+            assert ours == pytest.approx(expected, rel=1e-12)
+
+
 def test_region_scan_shape_and_flags():
     base = _inputs(mu_g=None, mu_ng=None, mu_obs_g=0.5, mu_obs_ng=0.0,
                    rho_g=0.0, rho_ng=0.0)
