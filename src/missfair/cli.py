@@ -9,7 +9,6 @@ from .data_model import ConfigurationError
 
 def _add_common(parser):
     parser.add_argument("--config", help="YAML configuration file")
-    parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--out", help="override the output directory")
 
 
@@ -33,15 +32,18 @@ def main(argv=None):
 
     p = sub.add_parser("simulate", help="repeated synthetic experiment, CSV report")
     _add_common(p)
+    p.add_argument("--seed", type=int, help="override the run seed")
     p.add_argument("--repetitions", type=int, help="number of repetitions")
     p.add_argument("--threads", type=int, help="worker threads across repetitions")
 
     p = sub.add_parser("audit-csv", help="audit imputers on an external CSV")
     _add_common(p)
+    p.add_argument("--seed", type=int, help="override the run seed")
     p.add_argument("--input", help="CSV path (overrides csv.path from the config)")
     p.add_argument("--group-column", help="name of the 0/1 group column")
     p.add_argument("--outcome-column", help="name of the 0/1 outcome column")
 
+    # the scan is closed-form: it draws nothing at random, so it takes no --seed
     p = sub.add_parser("region-scan", help="closed-form gap map over a rho grid")
     _add_common(p)
 
@@ -69,7 +71,9 @@ def main(argv=None):
             print(f"wrote {harness.make_standin(args.out, seed=args.seed)}")
             return 0
 
-        overrides = {"seed": args.seed, "output_dir": args.out}
+        overrides = {"output_dir": args.out}
+        if args.command != "region-scan":
+            overrides["seed"] = args.seed
         if args.command == "simulate":
             overrides.update(repetitions=args.repetitions, threads=args.threads)
         config = harness.load_config(args.config, overrides)

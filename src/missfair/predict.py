@@ -2,7 +2,10 @@
 
 One model is fitted on each completed matrix; prediction averages the per-draw
 probabilities. Raw covariates are standardised to training moments; appended
-missingness indicators are left on their 0/1 scale.
+missingness indicators are left on their 0/1 scale. Each fit is Newton's method
+with a halving line search, and every point it evaluates costs one pass over
+the design in cache-sized row blocks, which forms the penalised loss, gradient
+and Hessian together.
 """
 
 import math
@@ -53,9 +56,9 @@ class FittedModel:
         return len(self.draws)
 
 
-def _sigmoid(t, e=None):
+def _sigmoid(t):
     # e = exp(-|t|) is exp(-t) where t >= 0 and exp(t) where t < 0, and never overflows
-    e = np.exp(-np.abs(t)) if e is None else e
+    e = np.exp(-np.abs(t))
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -91,49 +94,97 @@ def _warm_start(start, means, stds):
     return np.concatenate(([intercept], w_raw * stds))
 
 
-def _loss_and_mu(design, y, beta, ridge):
-    """Penalised loss at beta and the fitted probabilities, from one exp.
-
-    `design` is feature-major, (p+1, n).
-    """
-    eta = beta @ design
-    e = np.exp(-np.abs(eta))
-    # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)), computed stably
-    loss = np.sum(np.maximum(eta, 0.0) + np.log1p(e) - y * eta)
-    return float(loss + 0.5 * np.sum(ridge * beta * beta)), _sigmoid(eta, e)
-
-
-def _zero_start(n):
-    """`_loss_and_mu` at beta = 0 without the pass over the design: bitwise the same,
-    since every row's loss term is then log1p(1) and its probability 1/2."""
-    return float(np.sum(np.full(n, np.log1p(1.0)))), np.full(n, 0.5)
-
-
 def _penalised_loss(design, y, beta, ridge):
-    """Penalised loss for a sample-major (n, p+1) design."""
-    return _loss_and_mu(design.T, y, beta, ridge)[0]
+    """Penalised loss for a sample-major (n, p+1) design; the reference for `_NewtonPass`."""
+    eta = design @ beta
+    # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)), computed stably
+    loss = np.sum(np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta))) - y * eta)
+    return float(loss + 0.5 * np.sum(ridge * beta * beta))
+
+
+# Design entries one block of `_NewtonPass` covers: 256 KiB of float64, so a
+# block, its weighted copy and its row buffers stay in cache from the first
+# ufunc to the Hessian.
+_BLOCK_ENTRIES = 32768
+
+
+class _NewtonPass:
+    """Penalised loss, gradient and Hessian at beta from one pass over the design.
+
+    The feature-major (p+1, n) design is walked in blocks of rows; each block's
+    eta, exp(-|eta|), loss terms, probabilities and weights go into row buffers
+    allocated once here and reused by every pass. The y·eta term of the loss
+    and y's part of the gradient come from D y, formed once.
+    """
+
+    def __init__(self, design, y, ridge):
+        k, n = design.shape
+        rows = min(n, max(1, _BLOCK_ENTRIES // k))
+        self.design, self.ridge = design, ridge
+        self.design_y = design @ y
+        self.eta, self.e, self.t, self.mu = np.empty((4, rows))
+        self.weighted = np.empty((k, rows))
+
+    def __call__(self, beta):
+        design = self.design
+        k, n = design.shape
+        loss, grad, hess = 0.0, np.zeros(k), np.zeros((k, k))
+        for start in range(0, n, self.eta.size):
+            block = design[:, start:start + self.eta.size]
+            m = block.shape[1]
+            eta, e, t, mu = self.eta[:m], self.e[:m], self.t[:m], self.mu[:m]
+            np.dot(beta, block, out=eta)
+            np.abs(eta, out=t)
+            np.negative(t, out=t)
+            np.exp(t, out=e)
+            # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)), computed stably
+            np.maximum(eta, 0.0, out=t)
+            np.log1p(e, out=mu)
+            t += mu
+            loss += float(np.sum(t))
+            # `_sigmoid`'s where(eta >= 0, 1, e) / (1 + e): exp(min(eta, 0)) is that
+            # numerator bit for bit, without a branch per row
+            np.minimum(eta, 0.0, out=mu)
+            np.exp(mu, out=mu)
+            np.add(e, 1.0, out=t)
+            mu /= t
+            grad += block @ mu
+            # the Hessian's weights mu (1 - mu), floored at 1e-10
+            np.subtract(1.0, mu, out=t)
+            t *= mu
+            np.maximum(t, 1e-10, out=t)
+            weighted = self.weighted[:, :m]
+            np.multiply(block, t, out=weighted)
+            hess += weighted @ block.T
+        ridge = self.ridge
+        loss += 0.5 * float(np.sum(ridge * beta * beta)) - float(beta @ self.design_y)
+        grad += ridge * beta - self.design_y
+        hess[np.diag_indices(k)] += ridge
+        return loss, grad, hess
 
 
 def _fit_draw(design, y, penalty, spec, start=None):
     """Newton's method on the ridge-penalised loss over a `_design` array.
 
     Returns the coefficients, intercept first. `start` (coefficients in this
-    design's coordinates) is used when its loss is below that of the zero start.
+    design's coordinates) is used when its loss is below that of the zero start,
+    n·log 2: every row's loss term at zero is log 2, so that loss is written
+    down, not computed. Each Newton step and each halving of it is one
+    `_NewtonPass` at the candidate, which also yields the next step's gradient
+    and Hessian.
     """
     ridge = np.full(design.shape[0], penalty)
     ridge[0] = 0.0                      # intercept first, unpenalised
-    beta = np.zeros(design.shape[0])
-    loss, mu = _zero_start(design.shape[1])
+    newton = _NewtonPass(design, y, ridge)
+    beta = start
     if start is not None:
-        start_loss, start_mu = _loss_and_mu(design, y, start, ridge)
-        if start_loss < loss:
-            beta, loss, mu = start, start_loss, start_mu
+        loss, grad, hess = newton(start)
+    if start is None or not loss < design.shape[1] * math.log1p(1.0):
+        beta = np.zeros(design.shape[0])
+        loss, grad, hess = newton(beta)
     for _ in range(spec.max_iterations):
-        grad = design @ (mu - y) + ridge * beta
         if np.linalg.norm(grad, ord=np.inf) < spec.tolerance:
             break
-        w = np.maximum(mu * (1.0 - mu), 1e-10)
-        hess = (design * w) @ design.T + np.diag(ridge)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:   # e.g. a constant feature with no penalty
@@ -144,9 +195,9 @@ def _fit_draw(design, y, penalty, spec, start=None):
         scale = 1.0
         for _ in range(30):
             candidate = beta - scale * step
-            candidate_loss, candidate_mu = _loss_and_mu(design, y, candidate, ridge)
-            if candidate_loss <= loss + allowance:
-                beta, loss, mu = candidate, candidate_loss, candidate_mu
+            evaluated = newton(candidate)
+            if evaluated[0] <= loss + allowance:
+                beta, (loss, grad, hess) = candidate, evaluated
                 break
             scale *= 0.5
         else:

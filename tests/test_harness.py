@@ -620,6 +620,15 @@ def test_make_standin_rejects_a_negative_seed_and_an_unopenable_path(capsys, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_region_scan_takes_no_seed(capsys, tmp_path):
+    # the scan draws nothing at random: --seed 5 and --seed 6 wrote the same report
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["region-scan", "--seed", "5", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reports_configuration_errors_as_usage_errors(capsys, tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("region: {steps: 0}\n")

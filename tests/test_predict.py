@@ -264,9 +264,9 @@ def test_warm_started_cell_needs_far_fewer_loss_evaluations(monkeypatch):
     assert result.n_draws == 10
     spec = LogisticSpec(fixed_penalty=1.0)
     calls = []
-    loss_and_mu, fit_draw = predict._loss_and_mu, predict._fit_draw
-    monkeypatch.setattr(predict, "_loss_and_mu",
-                        lambda *a: calls.append(1) or loss_and_mu(*a))
+    newton_pass, fit_draw = predict._NewtonPass.__call__, predict._fit_draw
+    monkeypatch.setattr(predict._NewtonPass, "__call__",
+                        lambda self, beta: calls.append(1) or newton_pass(self, beta))
     warm = predict.train(result, y, spec)
     n_warm = len(calls)
     # every draw from zero, as each draw was fitted before warm starts
@@ -303,35 +303,89 @@ def test_fused_loss_matches_the_logaddexp_form():
         loss = _penalised_loss(design, y, beta, ridge)
         assert type(loss) is float
         assert abs(loss - expected) <= 1e-12 * abs(expected)
-        _, mu = predict._loss_and_mu(design.T, y, beta, ridge)
-        assert mu.tobytes() == _sigmoid(eta).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 7, 80800])
-def test_closed_form_zero_start_is_bitwise_the_loss_pass(n):
-    rng = np.random.default_rng(n)
-    # negative entries make 0 * x a -0.0 in the pass the closed form replaces
-    design = np.vstack([np.ones((1, n)), -np.abs(rng.standard_normal((3, n))),
-                        rng.standard_normal((2, n))])
+@pytest.mark.parametrize("k", [2, 4, 13])
+@pytest.mark.parametrize("rows", [1, 7, "block-1", "block", "block+1", 80800])
+def test_newton_pass_matches_the_unblocked_formulas(k, rows):
+    block = predict._BLOCK_ENTRIES // k
+    n = {"block-1": block - 1, "block": block, "block+1": block + 1}.get(rows, rows)
+    rng = np.random.default_rng(k * n)
+    design = np.vstack([np.ones(n), rng.standard_normal((k - 1, n))])
     y = (rng.random(n) < 0.4).astype(float)
-    for penalty in (0.0, 1.0):
-        ridge = np.array([0.0] + [penalty] * 5)
-        loss, mu = predict._loss_and_mu(design, y, np.zeros(6), ridge)
-        closed_loss, closed_mu = predict._zero_start(n)
-        assert type(closed_loss) is float
-        assert np.float64(closed_loss).tobytes() == np.float64(loss).tobytes()
-        assert closed_mu.tobytes() == mu.tobytes()
+    ridge = np.r_[0.0, np.full(k - 1, 0.7)]
+    beta = rng.standard_normal(k)
+    beta *= 40.0 / np.max(np.abs(beta @ design))        # |eta| reaches 40
+    newton = predict._NewtonPass(design, y, ridge)
+    with np.errstate(over="raise"):
+        loss, grad, hess = newton(beta)
+        mu = _sigmoid(beta @ design)
+    assert type(loss) is float
+    assert abs(loss - _penalised_loss(design.T, y, beta, ridge)) <= 1e-12 * abs(loss)
+    # the probability buffer holds the last block's rows
+    tail = n - (n - 1) // newton.mu.size * newton.mu.size
+    assert np.allclose(newton.mu[:tail], mu[-tail:], rtol=1e-13, atol=0)
+    expected_grad = design @ (mu - y) + ridge * beta
+    assert np.max(np.abs(grad - expected_grad)) <= 1e-10 * np.max(np.abs(expected_grad))
+    w = np.maximum(mu * (1.0 - mu), 1e-10)
+    expected_hess = (design * w) @ design.T + np.diag(ridge)
+    assert np.max(np.abs(hess - expected_hess)) <= 1e-10 * np.max(np.abs(expected_hess))
 
 
-def test_cold_fit_makes_no_loss_pass_at_zero(monkeypatch):
-    result, y = _data()
-    betas = []
-    loss_and_mu = predict._loss_and_mu
-    monkeypatch.setattr(predict, "_loss_and_mu",
-                        lambda design, y, beta, ridge: betas.append(beta.copy())
-                        or loss_and_mu(design, y, beta, ridge))
-    predict.train(result, y, LogisticSpec(fixed_penalty=1.0))
-    assert betas and all(beta.any() for beta in betas)
+@pytest.mark.parametrize("entries", [1, 150])
+def test_fit_agrees_across_block_sizes(monkeypatch, entries):
+    # tier-1's designs fit in one block of the default size; these cut them into
+    # one-row blocks, and 37-row blocks with a short last one
+    (X,), y = _perturbed_draws(1000, 1, seed=21)
+    design = predict._design(X, 3)[0]
+    spec = LogisticSpec()
+    expected = predict._fit_draw(design, y, 1.0, spec)
+    monkeypatch.setattr(predict, "_BLOCK_ENTRIES", entries)
+    assert np.allclose(predict._fit_draw(design, y, 1.0, spec), expected, rtol=0, atol=1e-10)
+
+
+def test_each_newton_step_and_halving_costs_one_pass(monkeypatch):
+    rng = np.random.default_rng(3)
+    n = 2000
+    X = rng.standard_normal((n, 3))
+    y = (rng.random(n) < _sigmoid(2.0 * X[:, 0] - X[:, 1])).astype(float)
+    design = predict._design(X, 3)[0]
+    spec = LogisticSpec()
+    optimum = predict._fit_draw(design, y, 1.0, spec)
+    passes, solves = [], []
+    newton_pass, solve = predict._NewtonPass.__call__, np.linalg.solve
+
+    def counted(self, beta):
+        result = newton_pass(self, beta)
+        passes.append((beta.copy(), result[0]))
+        return result
+    monkeypatch.setattr(predict._NewtonPass, "__call__", counted)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+
+    def halvings(losses):
+        """Candidates the line search rejects, replaying its rule on the pass losses."""
+        current, rejected = losses[0], 0
+        for loss in losses[1:]:
+            if loss <= current + 1e-12 * max(1.0, abs(current)):
+                current = loss
+            else:
+                rejected += 1
+        return rejected
+
+    # from zero; from twice the optimum, which beats zero's n log 2 but overshoots
+    # once; from five times it, which loses to zero and costs one pass there
+    for start, at_zero, halved in ((None, [0], 0), (2.0 * optimum, [], 1),
+                                   (5.0 * optimum, [1], 0)):
+        passes.clear()
+        solves.clear()
+        predict._fit_draw(design, y, 1.0, spec, start)
+        assert [i for i, (beta, _) in enumerate(passes) if not beta.any()] == at_zero
+        losses = [loss for _, loss in passes]
+        if start is not None:
+            assert (losses[0] < n * math.log(2.0)) == (not at_zero)
+            losses = losses[len(at_zero):]      # the rejected start is no candidate
+        assert halvings(losses) == halved
+        assert len(losses) == len(solves) + halved + 1
 
 
 def test_singular_newton_hessian_is_a_singular_system_error():
