@@ -1,6 +1,7 @@
 """Command-line entry points: simulate, audit-csv, region-scan, validate-theorems."""
 
 import argparse
+import os
 import sys
 
 from . import harness
@@ -22,6 +23,16 @@ def _positive(kind, zero_ok=False):
         return value
     parse.__name__ = kind.__name__      # argparse says "invalid int value: ..."
     return parse
+
+
+def _check_output_dir(path):
+    """Raise ConfigurationError unless `path` is a directory or could be made one; the
+    check creates nothing, so a run that fails leaves no output directory behind."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigurationError(f"cannot write {path}: {existing} is not a writable directory")
 
 
 def main(argv=None):
@@ -76,14 +87,12 @@ def main(argv=None):
             overrides["seed"] = args.seed
         if args.command == "simulate":
             overrides.update(repetitions=args.repetitions, threads=args.threads)
+        if args.command == "audit-csv":     # always given, so the manifest records csv: {}
+            overrides["csv"] = {key: value for key, value in (
+                ("path", args.input), ("group_column", args.group_column),
+                ("outcome_column", args.outcome_column)) if value is not None}
         config = harness.load_config(args.config, overrides)
-        if args.command == "audit-csv":
-            csv_spec = dict(config.get("csv") or {})
-            for key, value in (("path", args.input), ("group_column", args.group_column),
-                               ("outcome_column", args.outcome_column)):
-                if value:
-                    csv_spec[key] = value
-            config["csv"] = csv_spec
+        _check_output_dir(config["output_dir"])
         run = {"simulate": harness.run_simulation, "audit-csv": harness.run_csv_audit,
                "region-scan": harness.run_region_scan}[args.command]
         print(f"wrote {run(config).write(config['output_dir'])}")

@@ -70,13 +70,9 @@ def _merge(base, override):
     for key, value in (override or {}).items():
         if key not in base:
             raise ConfigurationError(f"unknown configuration key: {key}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            unknown = sorted(value.keys() - base[key].keys())
-            if unknown:
-                raise ConfigurationError(f"unknown configuration key: {key}.{unknown[0]}")
-            out[key] = {**base[key], **value}
-        else:
-            out[key] = value
+        # a section's given values over its defaults; `_plan` checks every nested key
+        out[key] = ({**base[key], **value} if isinstance(base[key], dict)
+                    and isinstance(value, dict) else value)
     return out
 
 
@@ -309,17 +305,23 @@ def _simulate_repetition(config, rep):
     for s_index, scenario_spec in enumerate(plan["scenarios"]):
         mask = apply_scenario(cohort, replace(scenario_spec,
                                               seed=_derived_seed(seed, rep, 2, s_index)))
-        partitions = split(cohort, mask, split_spec)
-        for i_index, imputer_spec in enumerate(plan["imputers"]):
-            cell = (scenario_spec.scenario, imputer_spec.label())
-            values, error = _run_cell(
-                replace(imputer_spec, seed=_derived_seed(seed, rep, 3, i_index)), plan["model"],
-                partitions, plan["run"]["capacities"], scenario_spec.target_covariate)
+        for label, values, error in _run_imputers(plan, rep, split(cohort, mask, split_spec),
+                                                  target=scenario_spec.target_covariate):
             if error:
-                errors[cell] = error
+                errors[(scenario_spec.scenario, label)] = error
             else:
-                records[cell] = values
+                records[(scenario_spec.scenario, label)] = values
     return records, errors
+
+
+def _run_imputers(plan, rep, partitions, target=None, resamples=0):
+    """(imputer label, values, error) of every configured imputer's `_run_cell` on one
+    split, in configuration order; repetition `rep` stamps the imputer and bootstrap seeds."""
+    seed = plan["run"]["seed"]
+    return [(spec.label(), *_run_cell(replace(spec, seed=_derived_seed(seed, rep, 3, i)),
+                                      plan["model"], partitions, plan["run"]["capacities"],
+                                      target, resamples, _derived_seed(seed, rep, 4, i)))
+            for i, spec in enumerate(plan["imputers"])]
 
 
 @dataclass(frozen=True)
@@ -448,16 +450,17 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
     covariates. Returns (Cohort, ObservationMask, covariate_names); ground truth
     at missing positions is unknowable, so those cells carry 0 under the mask.
     Cells are stripped, so a whitespace-only covariate cell is missing too, and
-    blank lines are skipped. Ragged rows, non-finite covariates and a third value
-    in the group or outcome column raise ConfigurationError naming the line and
-    column.
+    blank lines and a leading byte-order mark are skipped. A header that names a
+    column twice raises ConfigurationError; so do ragged rows, non-finite
+    covariates and a third value in the group or outcome column, naming the line
+    and column.
     """
     if group_column == outcome_column:
         raise ConfigurationError(f"the group and outcome columns must differ, both are "
                                  f"{group_column!r}")
     marks = (str(marginalised_value), str(positive_value))
     # a block that is not plainly valid sends the file to the row path, which names the
-    # offending line and column (or parses the whitespace-only cells a block turns down)
+    # offending line and column
     X, binary, names = (_read_table(path, group_column, outcome_column, marks, blocked=True)
                         or _read_table(path, group_column, outcome_column, marks, blocked=False))
     if not len(X) or not names:
@@ -469,9 +472,11 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
 def _read_table(path, group_column, outcome_column, marks, blocked):
     """(covariates with nan where missing, (n, 2) group/outcome flags, covariate names);
     None when `blocked` and a block needs the row path."""
-    with _open(path, newline="") as handle:
+    with _open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
+        if repeated := sorted({name for name in header if header.count(name) > 1}):
+            raise ConfigurationError(f"the CSV header names column {repeated[0]!r} more than once")
         if group_column not in header or outcome_column not in header:
             raise ConfigurationError(
                 f"columns '{group_column}' and '{outcome_column}' must exist in the CSV")
@@ -510,8 +515,8 @@ def _read_table(path, group_column, outcome_column, marks, blocked):
 
 def _parse_block(rows, width, cov_idx, labels, binary_idx):
     """One block's (covariates, group/outcome flags) as `_read_table` returns them, or
-    None for a ragged row, a covariate cell that is not a finite number or empty (a
-    whitespace-only one included), or a third group or outcome value."""
+    None for a ragged row, a covariate cell that is not a finite number, empty or
+    whitespace-only, or a third group or outcome value."""
     if set(map(len, rows)) != {width}:
         return None
     block = np.array(rows, dtype=object)
@@ -524,16 +529,27 @@ def _parse_block(rows, width, cov_idx, labels, binary_idx):
         allowed.extend(new)
         marked[i] = [cell for cell in raw if cell.strip() == allowed[0]]
     flags = [np.isin(block[:, i], marked[i]) for i in binary_idx]
-    cells = block[:, cov_idx]
-    missing = cells == ""
-    cells[missing] = math.nan
     try:
-        X = cells.astype(float)
-    except ValueError:
-        return None
+        X, missing = _floats(block[:, cov_idx])
+    except ValueError:      # float() reads " 1.5 " but not "  ": strip, and cast once more
+        try:
+            X, missing = _floats(_STRIP(block[:, cov_idx]))
+        except ValueError:
+            return None
     if not (np.isfinite(X) | missing).all():
         return None
     return X, np.array(flags, dtype=np.int64).T
+
+
+_STRIP = np.frompyfunc(str.strip, 1, 1)
+
+
+def _floats(cells):
+    """(floats, missing) of an object array of cell texts, nan where a cell is empty;
+    ValueError where a cell is not a number. Writes nan into `cells`."""
+    missing = cells == ""
+    cells[missing] = math.nan
+    return cells.astype(float), missing
 
 
 def _covariate(cell, column, where):
@@ -562,19 +578,12 @@ def run_csv_audit(config):
     arguments, split_spec = plan["csv"]
     cohort, mask, names = read_csv_cohort(**arguments)
     partitions = split(cohort, mask, replace(split_spec, seed=_derived_seed(seed, 0, 1)))
-
     rows = []
-    for i_index, imputer_spec in enumerate(plan["imputers"]):
-        cell = ("csv", imputer_spec.label())
-        values, error = _run_cell(replace(imputer_spec, seed=_derived_seed(seed, 0, 3, i_index)),
-                                  plan["model"], partitions, plan["run"]["capacities"],
-                                  resamples=resamples,
-                                  bootstrap_seed=_derived_seed(seed, 0, 4, i_index))
-        if error:
-            rows.append(_row(cell, resamples, error))
-            continue
-        for (metric, group), (point, boot) in sorted(values.items()):
-            rows.append(_row(cell, resamples, "", metric, group, point, *boot[1:5]))
+    for label, values, error in _run_imputers(plan, 0, partitions, resamples=resamples):
+        cell = ("csv", label)
+        rows += ([_row(cell, resamples, error)] if error else
+                 [_row(cell, resamples, "", metric, group, point, *boot[1:5])
+                  for (metric, group), (point, boot) in sorted(values.items())])
     return _audited_report(rows, {"mode": "audit-csv", "covariates": names,
                                   "config": _manifest_config(config)})
 

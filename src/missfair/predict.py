@@ -217,7 +217,7 @@ def _score_draws(models, result):
     """
     totals = [None] * len(models)
     for i, dm in enumerate(models[0]):
-        X = result.features(i if result.n_draws > 1 else 0)
+        X = result.features(i)
         Z = (X - dm.feature_means) / dm.feature_stds
         for k, draws in enumerate(models):
             p = _sigmoid(Z @ draws[i].weights + draws[i].intercept)
@@ -237,6 +237,9 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     n_raw = train_result.completed[0].shape[1]
     if y.shape[0] != train_result.completed[0].shape[0]:
         raise ConfigurationError("outcome length must match the training rows")
+    if tune_result is not None and tune_result.n_draws != train_result.n_draws:
+        raise ConfigurationError(f"tuning data has {tune_result.n_draws} draws but the "
+                                 f"training data has {train_result.n_draws}")
 
     penalties = [spec.fixed_penalty] if tune_result is None else sorted(spec.penalty_grid)
     fits = [[] for _ in penalties]      # fits[k][i]: draw i at penalties[k]
@@ -265,14 +268,12 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
 
 
 def predict(model, result):
-    """Average per-draw probabilities for one ImputationResult.
-
-    Draw counts must match, or the data may carry a single draw that is then
-    scored by every per-draw model (broadcast).
+    """Average per-draw probabilities for one ImputationResult: the model's draw i
+    scores the data's draw i, so the two draw counts must match.
     """
     if result.n_features != model.draws[0].weights.size:
         raise ConfigurationError("feature count differs from the fitted model")
-    if result.n_draws not in (1, model.n_draws):
+    if result.n_draws != model.n_draws:
         raise ConfigurationError(
             f"data has {result.n_draws} draws but the model has {model.n_draws}")
     return _score_draws([model.draws], result)[0]

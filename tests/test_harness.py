@@ -147,8 +147,8 @@ def test_config_messages_name_the_key_or_the_entry(tmp_path):
 
 @pytest.mark.parametrize("text, key, misspelled", [
     # each misspelling loaded and silently ran the default
-    ("population: {n_majorty: 5}", "unknown configuration key: population", "n_majorty"),
-    ("split: {tune_frac: 0.1}", "unknown configuration key: split", "tune_frac"),
+    ("population: {n_majorty: 5}", "population must be", "n_majorty"),
+    ("split: {tune_frac: 0.1}", "split must be", "tune_frac"),
     ("scenarios: [{scenario: S1, mask_prob: 0.9}]", "scenarios[0] must be", "mask_prob"),
     ("imputers: [{strategy: mice, mice_draw: 2}]", "imputers[0] must be", "mice_draw"),
     ("population: {negative_cluster: {mean: [0, 0], variance: 0.1, varience: 2}}",
@@ -466,7 +466,10 @@ def test_read_csv_cohort_blocks_parse_bitwise_as_the_row_path(tmp_path):
 def test_read_csv_cohort_whitespace_only_cells_are_missing(tmp_path):
     path = _csv_with_blocks(tmp_path / "t.csv", edits={**_ODD_CELLS, (2200, 1): "   "})
     cohort, mask, _ = harness.read_csv_cohort(path)
-    assert harness._read_table(path, "group", "outcome", ("1", "1"), blocked=True) is None
+    blocked = harness._read_table(path, "group", "outcome", ("1", "1"), blocked=True)
+    rows = harness._read_table(path, "group", "outcome", ("1", "1"), blocked=False)
+    assert blocked[0].tobytes() == rows[0].tobytes() and blocked[2] == rows[2]
+    assert np.array_equal(blocked[1], rows[1])
     assert np.flatnonzero(~mask.observed.ravel()).tolist() == [2102 * 3 + 2, 2200 * 3 + 1]
     assert cohort.covariates[2200, 1] == 0.0 and cohort.covariates[7, 2] == 0.0
 
@@ -505,6 +508,31 @@ def test_read_csv_cohort_skips_blank_lines(tmp_path):
     with pytest.raises(ConfigurationError) as error:     # data row 2300 is now on line 2303
         harness.read_csv_cohort(blank)
     assert str(error.value) == f"{blank}, line 2303, column 'x2': 'inf' is not a finite number"
+
+
+def test_read_csv_cohort_ignores_a_byte_order_mark(tmp_path):
+    plain = _csv_with_blocks(tmp_path / "plain.csv", edits=_ODD_CELLS)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + open(plain, "rb").read())
+    (cohort, mask, names), expected = harness.read_csv_cohort(str(marked)), \
+        harness.read_csv_cohort(plain)
+    assert names == expected[2] == ["x1", "x2", "x3"]
+    for got, want in ((cohort.covariates, expected[0].covariates),
+                      (cohort.group, expected[0].group), (cohort.outcome, expected[0].outcome),
+                      (mask.observed, expected[1].observed)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # with the group column first, the mark stood before its name
+    marked.write_bytes("\ufeffgroup,x1,outcome\n1,0.5,0\n0,,1\n".encode())
+    assert harness.read_csv_cohort(str(marked))[2] == ["x1"]
+
+
+def test_read_csv_cohort_rejects_a_repeated_column_name(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("group,x1,group,outcome\n1,0.5,1,0\n0,1.5,0,1\n")
+    # the second group column was read as a covariate: the model saw the group
+    with pytest.raises(ConfigurationError) as error:
+        harness.read_csv_cohort(str(path))
+    assert str(error.value) == "the CSV header names column 'group' more than once"
 
 
 def test_read_csv_cohort_requires_columns(tmp_path):
@@ -648,3 +676,40 @@ def test_cli_reports_configuration_errors_as_usage_errors(capsys, tmp_path):
     assert err.count(f"error: cannot open {absent}: No such file or directory") == 2
     assert not (tmp_path / "out").exists()
 
+
+
+def test_cli_rejects_an_unusable_output_dir_before_the_run(capsys, tmp_path, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    config = tmp_path / "run.yaml"
+    config.write_text("region: {steps: 3}\n")
+
+    def never(config):
+        raise AssertionError("the runner was called")
+
+    for name in ("run_simulation", "run_csv_audit", "run_region_scan"):
+        monkeypatch.setattr(harness, name, never)
+    for command in ("simulate", "audit-csv", "region-scan"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", str(config), "--out", str(afile / "out")])
+        assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert "wrote" not in out and "Traceback" not in err
+    assert err.count(f"error: cannot write {afile / 'out'}: {afile} is not a writable "
+                     "directory") == 3
+
+
+def test_audit_csv_flags_layer_over_the_config_csv_section(tmp_path):
+    standin = harness.make_standin(str(tmp_path / "standin.csv"), seed=1,
+                                   n_majority=1500, n_marginalised=300, n_noise=1)
+    common = ["imputers: [{strategy: population_mean}, {strategy: group_mean}]",
+              "bootstrap_resamples: 5", "capacities: [0.25]"]
+    whole, partial = tmp_path / "whole.yaml", tmp_path / "partial.yaml"
+    whole.write_text("\n".join(common + [
+        f"csv: {{path: {standin}, group_column: group, outcome_column: outcome}}"]) + "\n")
+    partial.write_text("\n".join(common + [f"csv: {{path: {standin}}}"]) + "\n")
+    assert cli.main(["audit-csv", "--config", str(whole), "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["audit-csv", "--config", str(partial), "--group-column", "group",
+                     "--outcome-column", "outcome", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "report.csv").read_bytes() == \
+        (tmp_path / "b" / "report.csv").read_bytes()

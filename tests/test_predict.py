@@ -101,21 +101,26 @@ def test_per_draw_models_and_prediction_average():
     model = predict.train(result, y, LogisticSpec(fixed_penalty=1.0))
     assert model.n_draws == 2
     scores = predict.predict(model, result)
-    s1 = predict.predict(model, ImputationResult((X1,)))
+    per_draw = [_sigmoid((X - dm.feature_means) / dm.feature_stds @ dm.weights + dm.intercept)
+                for X, dm in zip((X1, X2), model.draws)]   # draw i's model scores draw i
     assert scores.shape == (200,)
-    assert not np.array_equal(scores, s1)        # averaging differs from broadcast
+    assert np.allclose(scores, (per_draw[0] + per_draw[1]) / 2, rtol=1e-12, atol=0)
+    assert not np.array_equal(scores, per_draw[0])
 
 
-def test_single_draw_broadcasts_against_multi_draw_model():
+def test_draw_count_mismatch_raises():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((100, 2))
     y = (X[:, 0] > 0).astype(int)
     model = predict.train(ImputationResult((X, X + 0.01)), y,
                           LogisticSpec(fixed_penalty=1.0))
-    scores = predict.predict(model, ImputationResult((X,)))
-    assert scores.shape == (100,)
-    with pytest.raises(ConfigurationError):
-        predict.predict(model, ImputationResult((X, X, X)))
+    for draws in ((X,), (X, X, X)):
+        with pytest.raises(ConfigurationError, match=f"data has {len(draws)} draws but "
+                                                     "the model has 2"):
+            predict.predict(model, ImputationResult(draws))
+    with pytest.raises(ConfigurationError, match="tuning data has 1 draws"):
+        predict.train(ImputationResult((X, X + 0.01)), y, LogisticSpec(),
+                      tune_result=ImputationResult((X,)), tune_outcome=y)
 
 
 def test_indicator_columns_are_not_standardised():
@@ -415,7 +420,8 @@ def test_design_is_feature_major_with_raw_moments():
 
 def test_tuned_train_builds_one_design_per_draw(monkeypatch):
     draws, y = _perturbed_draws(3000, 10, seed=19)
-    tune_result, tune_y = _data(n=1000, seed=20)
+    tune_draws, tune_y = _perturbed_draws(1000, 10, seed=20)
+    tune_result = ImputationResult(tuple(tune_draws))
     spec = LogisticSpec()
     designs, fits = [], []
     design, fit_draw = predict._design, predict._fit_draw
