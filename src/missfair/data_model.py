@@ -137,16 +137,9 @@ class ImputationResult:
 
     @property
     def n_features(self):
-        """Width of `features(draw)`: the covariates plus any indicator columns."""
+        """Model input width: the covariates plus any indicator columns."""
         extra = 0 if self.indicator_columns is None else self.indicator_columns.shape[1]
         return self.completed[0].shape[1] + extra
-
-    def features(self, draw):
-        """Model-ready feature matrix for one draw (indicators appended when present)."""
-        X = self.completed[draw]
-        if self.indicator_columns is not None:
-            X = np.hstack([X, self.indicator_columns])
-        return X
 
 
 @dataclass(frozen=True)

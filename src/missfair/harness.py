@@ -112,8 +112,8 @@ def _plan(config):
     plan = {
         "run": _entry("", dict, {key: config[key] for key in _RUN_KINDS}, _RUN_KINDS),
         "population": population,
-        "split": _entry("split", lambda train, tune, test: SplitSpec(train, tune, test),
-                        config["split"], dict.fromkeys(("train", "tune", "test"), _RATE)),
+        "split": _entry("split", _split_spec, config["split"],
+                        dict.fromkeys(("train", "tune", "test"), _RATE)),
         "model": _entry("model", predict.LogisticSpec, config["model"], _MODEL_KINDS),
         "region": _entry("region", _region_spec, config["region"], _REGION_KINDS),
         "scenarios": [_entry(f"scenarios[{i}]", partial(_scenario_spec, d),
@@ -125,9 +125,11 @@ def _plan(config):
         "csv": None if config["csv"] is None else _entry("csv", _csv_spec, config["csv"],
                                                          _CSV_KINDS),
     }
-    # a report cell is keyed by (scenario, imputer label): a repeat would merge two cells
+    # a report cell is keyed by (scenario, imputer label) and a row by its metric's label,
+    # which prints the capacity with :g: a repeat would merge two cells or two rows
     for section, labels in (("scenarios", [spec.scenario for spec in plan["scenarios"]]),
-                            ("imputers", [spec.label() for spec in plan["imputers"]])):
+                            ("imputers", [spec.label() for spec in plan["imputers"]]),
+                            ("capacities", [f"{c:g}" for c in plan["run"]["capacities"]])):
         for i, label in enumerate(labels):
             if label in labels[:i]:
                 raise ConfigurationError(f"{section}[{i}] must be unique, got a second {label}")
@@ -250,7 +252,16 @@ def _csv_spec(fractions=(0.8, 0.1, 0.1), **arguments):
     an omitted column or value keeps read_csv_cohort's default."""
     if len(fractions) != 3:
         raise ValueError(f"fractions must be three numbers (train, tune, test), got {fractions!r}")
-    return arguments, SplitSpec(*fractions)
+    return arguments, _split_spec(*fractions)
+
+
+def _split_spec(train, tune, test):
+    """A seed-free SplitSpec. The model is fitted on the train rows and scored on the
+    test rows, so both fractions must be > 0; tune 0 leaves the penalty fixed."""
+    spec = SplitSpec(train, tune, test)
+    if not (train > 0 and test > 0):
+        raise ValueError(f"train and test fractions must be > 0, got {train} and {test}")
+    return spec
 
 
 def _derived_seed(*entropy):

@@ -46,8 +46,6 @@ def reconstruction_error(parts, covariate):
                                 for m in result.completed]))
         groups.append(part.group[missing])
     group = np.concatenate(groups)
-    if not group.size:
-        raise UndefinedMetricError("no masked entries to score")
     errors = np.concatenate(errors, axis=1)
 
     def _mse(rows):

@@ -62,24 +62,26 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def _design(X, n_raw):
-    """The feature-major design of X, intercept row first, and its moments.
+def _design(covariates, indicators):
+    """One draw's feature-major design, intercept row first, and its moments.
 
-    The first n_raw feature rows are standardised in place; the rest (the
-    missingness indicators) keep their 0/1 scale with mean 0 and std 1.
+    The covariate rows are standardised in place; the missingness indicators
+    (None when there are none) follow on their 0/1 scale with mean 0 and std 1.
     """
-    n, p = X.shape
+    n, d = covariates.shape
+    p = d if indicators is None else d + indicators.shape[1]
     design = np.empty((p + 1, n))
     design[0] = 1.0
-    design[1:] = X.T
-    raw = design[1:n_raw + 1]
-    means = np.zeros(p)
-    stds = np.ones(p)
-    means[:n_raw] = raw.mean(axis=1)
+    raw = design[1:d + 1]
+    raw[:] = covariates.T
+    if indicators is not None:
+        design[d + 1:] = indicators.T
+    means, stds = np.zeros(p), np.ones(p)
+    means[:d] = raw.mean(axis=1)
     raw_stds = raw.std(axis=1)
-    stds[:n_raw] = np.where(raw_stds > 0, raw_stds, 1.0)
-    raw -= means[:n_raw, None]
-    raw /= stds[:n_raw, None]
+    stds[:d] = np.where(raw_stds > 0, raw_stds, 1.0)
+    raw -= means[:d, None]
+    raw /= stds[:d, None]
     return design, means, stds
 
 
@@ -212,13 +214,17 @@ def _score_draws(models, result):
     """Averaged per-draw probabilities on `result`, one array per model.
 
     The models' draw i must share draw i's standardisation (as every penalty's
-    fit of one training draw does): each draw's standardised matrix is built
-    once and scored by every model.
+    fit of one training draw does): each draw's standardised covariates go beside
+    the unscaled indicators in one matrix, which every model scores.
     """
     totals = [None] * len(models)
+    n, d = result.completed[0].shape
+    Z = np.empty((n, result.n_features))
+    if result.indicator_columns is not None:
+        Z[:, d:] = result.indicator_columns
     for i, dm in enumerate(models[0]):
-        X = result.features(i)
-        Z = (X - dm.feature_means) / dm.feature_stds
+        np.subtract(result.completed[i], dm.feature_means[:d], out=Z[:, :d])
+        np.divide(Z[:, :d], dm.feature_stds[:d], out=Z[:, :d])
         for k, draws in enumerate(models):
             p = _sigmoid(Z @ draws[i].weights + draws[i].intercept)
             totals[k] = p if totals[k] is None else totals[k] + p
@@ -234,7 +240,6 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     """
     spec = spec or LogisticSpec()
     y = np.asarray(train_outcome, dtype=float)
-    n_raw = train_result.completed[0].shape[1]
     if y.shape[0] != train_result.completed[0].shape[0]:
         raise ConfigurationError("outcome length must match the training rows")
     if tune_result is not None and tune_result.n_draws != train_result.n_draws:
@@ -244,7 +249,7 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     penalties = [spec.fixed_penalty] if tune_result is None else sorted(spec.penalty_grid)
     fits = [[] for _ in penalties]      # fits[k][i]: draw i at penalties[k]
     for i in range(train_result.n_draws):
-        design, means, stds = _design(train_result.features(i), n_raw)
+        design, means, stds = _design(train_result.completed[i], train_result.indicator_columns)
         for k, penalty in enumerate(penalties):
             # each draw starts from the one before (the draws differ on few rows);
             # the first draw runs the penalty path, starting from the last penalty

@@ -91,6 +91,12 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("csv: notadict", "csv"),
     # loaded, then failed only after the cohort was generated
     ("split: {train: 0.5}", "split"),
+    # loaded, then died with AttributeError in impute.transform or impute.fit
+    ("split: {train: 1.0, tune: 0.0, test: 0.0}", "split"),
+    ("split: {train: 0.0, tune: 0.5, test: 0.5}", "split"),
+    ("csv: {path: s.csv, fractions: [0.9, 0.1, 0.0]}", "csv"),
+    # both printed as fnr@0.1, one row holding whichever was scored last
+    ("capacities: [0.1, 0.1000001, 0.5]", "capacities[1]"),
     # a non-mapping entry escaped as AttributeError
     ("imputers: [5]", "imputers[0]"),
     ("scenarios: [5]", "scenarios[0]"),
@@ -204,6 +210,17 @@ def test_reconstruction_is_scored_on_each_scenario_target(monkeypatch):
     # S1 masks marginalised rows only: the majority and the gap have no masked entry
     assert len(s1) == 8 and all(r["n_values"] == (r["group"] in ("overall", "marginalised")) * 2
                                 for r in s1)
+
+
+def test_a_scenario_that_masks_nothing_keeps_its_rate_metrics():
+    # no masked entry gives nan reconstruction, which must not cost the cell its rates
+    config = _small_config(scenarios=[{"scenario": "S1", "mask_probability": 0}])
+    rows = harness.run_simulation(config).rows
+    rates = [r for r in rows if r["metric"] != "reconstruction"]
+    recon = [r for r in rows if r["metric"] == "reconstruction"]
+    assert rates and all(r["n_values"] == r["n_repetitions"] and r["error"] == ""
+                         for r in rates)
+    assert recon and all(r["n_values"] == 0 and r["error"] == "" for r in recon)
 
 
 def test_load_config_accepts_numeric_text_and_defaults(tmp_path):

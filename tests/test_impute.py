@@ -151,7 +151,7 @@ def test_indicator_columns_mark_missing_cells():
     assert fitted.indicated == (2,)
     assert np.array_equal(result.indicator_columns,
                           (~data.mask.observed[:, [2]]).astype(float))
-    assert result.features(0).shape[1] == result.n_features == 4
+    assert result.n_features == 4
 
 
 def test_indicators_only_for_columns_missing_in_training():

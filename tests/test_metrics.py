@@ -143,11 +143,12 @@ def test_reconstruction_error_averages_draws():
 
 
 def test_reconstruction_error_requires_missing_entries():
+    # nothing masked: every group is nan, not an error for the whole cell
     cohort = Cohort(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(2, dtype=int))
     mask = ObservationMask(np.ones((2, 2), dtype=bool))
-    with pytest.raises(UndefinedMetricError):
-        reconstruction_error(
-            [(MaskedCohort(cohort, mask), ImputationResult((np.zeros((2, 2)),)))], 1)
+    recon = reconstruction_error(
+        [(MaskedCohort(cohort, mask), ImputationResult((np.zeros((2, 2)),)))], 1)
+    assert all(math.isnan(getattr(recon, g)) for g in ("overall", "majority", "marginalised"))
 
 
 def test_threshold_selection_and_fnr_handcrafted():

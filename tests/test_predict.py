@@ -108,6 +108,22 @@ def test_per_draw_models_and_prediction_average():
     assert not np.array_equal(scores, per_draw[0])
 
 
+def test_prediction_is_bitwise_the_stacked_feature_formula():
+    # the covariates standardised beside the unscaled indicators give the same bits as
+    # standardising the stacked features, where the indicators' (x - 0) / 1 is exact
+    rng = np.random.default_rng(22)
+    draws = [rng.standard_normal((300, 3)) * [1.0, 4.0, 0.5] + [0.0, 2.0, -1.0]
+             for _ in range(3)]
+    ind = (rng.random((300, 2)) < 0.3).astype(float)
+    y = (draws[0][:, 0] + ind[:, 1] > 0.5).astype(int)
+    result = ImputationResult(tuple(draws), indicator_columns=ind)
+    model = predict.train(result, y, LogisticSpec(fixed_penalty=1.0))
+    expected = sum(_sigmoid(((np.hstack([X, ind]) - dm.feature_means) / dm.feature_stds)
+                            @ dm.weights + dm.intercept)
+                   for X, dm in zip(draws, model.draws)) / len(draws)
+    assert np.array_equal(predict.predict(model, result), expected)
+
+
 def test_draw_count_mismatch_raises():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((100, 2))
@@ -185,9 +201,9 @@ def _perturbed_draws(n, draws, seed):
     return out, y
 
 
-def _fit(X, y, penalty, spec, n_raw, start=None):
+def _fit(X, y, penalty, spec, start=None):
     """One draw's DrawModel as `train` fits it, `start` mapped into X's moments."""
-    design, means, stds = predict._design(X, n_raw)
+    design, means, stds = predict._design(X, None)
     beta = predict._fit_draw(design, y, penalty, spec,
                              None if start is None else predict._warm_start(start, means, stds))
     return predict.DrawModel(beta[1:], float(beta[0]), means, stds)
@@ -196,9 +212,9 @@ def _fit(X, y, penalty, spec, n_raw, start=None):
 def test_warm_and_cold_fits_agree():
     (X1, X2), y = _perturbed_draws(5000, 2, seed=10)
     spec = LogisticSpec()
-    first = _fit(X1, y, 1.0, spec, 3)
-    cold = _fit(X2, y, 1.0, spec, 3)
-    warm = _fit(X2, y, 1.0, spec, 3, start=first)
+    first = _fit(X1, y, 1.0, spec)
+    cold = _fit(X2, y, 1.0, spec)
+    warm = _fit(X2, y, 1.0, spec, start=first)
     assert np.max(np.abs(warm.weights - cold.weights)) < 1e-9
     assert abs(warm.intercept - cold.intercept) < 1e-9
     result = ImputationResult((X2,))
@@ -214,13 +230,13 @@ def test_start_next_to_the_optimum_converges_despite_rounding_noise(size):
     # 1e-12 allowance: such a line search rejects steps whose only "increase"
     # is rounding noise, and stalls above the gradient tolerance.
     (X,), y = _perturbed_draws(60000, 1, seed=11)
-    optimum = _fit(X, y, 1.0, LogisticSpec(), 3)
+    optimum = _fit(X, y, 1.0, LogisticSpec())
     for direction in range(3):
         offset = size * np.random.default_rng(direction).standard_normal(4)
         start = predict.DrawModel(
             weights=optimum.weights + offset[1:], intercept=optimum.intercept + offset[0],
             feature_means=optimum.feature_means, feature_stds=optimum.feature_stds)
-        refit = _fit(X, y, 1.0, LogisticSpec(max_iterations=5), 3, start=start)
+        refit = _fit(X, y, 1.0, LogisticSpec(max_iterations=5), start=start)
         assert np.max(np.abs(refit.weights - optimum.weights)) < 1e-9
 
 
@@ -237,8 +253,8 @@ def test_warm_start_is_carried_through_raw_feature_space():
     y_x = (rng.random(n) < _sigmoid(logit(x))).astype(float)
     y_u = (rng.random(n) < _sigmoid(logit(u))).astype(float)
     spec = LogisticSpec(fixed_penalty=1.0)
-    start = _fit(u, y_u, 1.0, spec, 1)
-    design, means, stds = predict._design(x, 1)
+    start = _fit(u, y_u, 1.0, spec)
+    design, means, stds = predict._design(x, None)
     design = design.T
     ridge = np.array([0.0, 1.0])
     warm = predict._warm_start(start, means, stds)
@@ -247,8 +263,8 @@ def test_warm_start_is_carried_through_raw_feature_space():
     assert _penalised_loss(design, y_x, warm, ridge) < 0.9 * zero_loss
     assert _penalised_loss(design, y_x, warm, ridge) < \
         _penalised_loss(design, y_x, same_coordinates, ridge)
-    cold = _fit(x, y_x, 1.0, spec, 1)
-    refit = _fit(x, y_x, 1.0, spec, 1, start=start)
+    cold = _fit(x, y_x, 1.0, spec)
+    refit = _fit(x, y_x, 1.0, spec, start=start)
     assert np.max(np.abs(refit.weights - cold.weights)) < 1e-9
 
 
@@ -290,8 +306,8 @@ def test_penalty_path_matches_cold_fits():
     spec = LogisticSpec()
     model = predict.train(train_result, train_y, spec,
                           tune_result=tune_result, tune_outcome=tune_y)
-    X = train_result.features(0)
-    cold = _fit(X, np.asarray(train_y, float), model.penalty, spec, 3)
+    X = train_result.completed[0]
+    cold = _fit(X, np.asarray(train_y, float), model.penalty, spec)
     assert np.max(np.abs(model.draws[0].weights - cold.weights)) < 1e-9
 
 
@@ -342,7 +358,7 @@ def test_fit_agrees_across_block_sizes(monkeypatch, entries):
     # tier-1's designs fit in one block of the default size; these cut them into
     # one-row blocks, and 37-row blocks with a short last one
     (X,), y = _perturbed_draws(1000, 1, seed=21)
-    design = predict._design(X, 3)[0]
+    design = predict._design(X, None)[0]
     spec = LogisticSpec()
     expected = predict._fit_draw(design, y, 1.0, spec)
     monkeypatch.setattr(predict, "_BLOCK_ENTRIES", entries)
@@ -354,7 +370,7 @@ def test_each_newton_step_and_halving_costs_one_pass(monkeypatch):
     n = 2000
     X = rng.standard_normal((n, 3))
     y = (rng.random(n) < _sigmoid(2.0 * X[:, 0] - X[:, 1])).astype(float)
-    design = predict._design(X, 3)[0]
+    design = predict._design(X, None)[0]
     spec = LogisticSpec()
     optimum = predict._fit_draw(design, y, 1.0, spec)
     passes, solves = [], []
@@ -406,7 +422,7 @@ def test_design_is_feature_major_with_raw_moments():
     rng = np.random.default_rng(18)
     X = np.hstack([3.0 + 2.0 * rng.standard_normal((500, 2)), np.full((500, 1), 5.0),
                    (rng.random((500, 2)) < 0.2).astype(float)])
-    design, means, stds = predict._design(X, 3)
+    design, means, stds = predict._design(X[:, :3], X[:, 3:])
     assert design.shape == (6, 500) and design.flags.c_contiguous
     assert np.array_equal(design[0], np.ones(500))
     assert np.allclose(means[:3], X[:, :3].mean(axis=0), rtol=1e-12, atol=0)
@@ -437,7 +453,7 @@ def test_tuned_train_builds_one_design_per_draw(monkeypatch):
         start = reference[max(reference)][0] if reference else None
         reference[penalty] = []
         for X in draws:
-            start = _fit(X, y, penalty, spec, 3, start)
+            start = _fit(X, y, penalty, spec, start)
             reference[penalty].append(start)
     for got, expected in zip(model.draws, reference[model.penalty]):
         assert np.allclose(got.weights, expected.weights, rtol=1e-12, atol=0)
