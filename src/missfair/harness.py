@@ -460,8 +460,9 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
     All columns except the group and outcome columns are treated as numeric
     covariates. Returns (Cohort, ObservationMask, covariate_names); ground truth
     at missing positions is unknowable, so those cells carry 0 under the mask.
-    Cells are stripped, so a whitespace-only covariate cell is missing too, and
-    blank lines and a leading byte-order mark are skipped. A header that names a
+    Cells and header names are stripped, so a whitespace-only covariate cell is
+    missing too, and blank lines (before the header too) and a leading
+    byte-order mark are skipped. A header that names a
     column twice raises ConfigurationError; so do ragged rows, non-finite
     covariates and a third value in the group or outcome column, naming the line
     and column.
@@ -485,7 +486,8 @@ def _read_table(path, group_column, outcome_column, marks, blocked):
     None when `blocked` and a block needs the row path."""
     with _open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
+        lines = filter(None, reader)    # csv.reader reads a blank line as []
+        header = [name.strip() for name in next(lines, [])]
         if repeated := sorted({name for name in header if header.count(name) > 1}):
             raise ConfigurationError(f"the CSV header names column {repeated[0]!r} more than once")
         if group_column not in header or outcome_column not in header:
@@ -494,7 +496,6 @@ def _read_table(path, group_column, outcome_column, marks, blocked):
         g_idx, y_idx = header.index(group_column), header.index(outcome_column)
         cov_idx = [i for i in range(len(header)) if i not in (g_idx, y_idx)]
         labels = {g_idx: [marks[0]], y_idx: [marks[1]]}
-        lines = filter(None, reader)    # csv.reader reads a blank line as []
         if blocked:
             blocks = []
             while rows := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):

@@ -38,24 +38,17 @@ def reconstruction_error(parts, covariate):
     Reads ground truth at the masked positions, so it applies to synthetic data
     where the truth is known. Groups with no masked entry come back as nan.
     """
-    errors, groups = [], []
+    sums, counts = np.zeros(2), np.zeros(2)
     for part, result in parts:
-        missing = ~part.mask.observed[:, covariate]
-        truth = part.cohort.covariates[missing, covariate]
-        errors.append(np.stack([(m[missing, covariate] - truth) ** 2
-                                for m in result.completed]))
-        groups.append(part.group[missing])
-    group = np.concatenate(groups)
-    errors = np.concatenate(errors, axis=1)
-
-    def _mse(rows):
-        return float(errors[:, rows].mean()) if rows.any() else math.nan
-
-    return GroupMetric(
-        overall=_mse(np.ones(group.size, dtype=bool)),
-        majority=_mse(group == 0),
-        marginalised=_mse(group == 1),
-    )
+        rows = np.flatnonzero(~part.mask.observed[:, covariate])
+        truth = part.cohort.covariates[rows, covariate]
+        group = part.group[rows]
+        counts += result.n_draws * np.bincount(group, minlength=2)
+        for m in result.completed:
+            sums += np.bincount(group, (m[rows, covariate] - truth) ** 2, minlength=2)
+    majority, marginalised = _ratio(sums, counts).tolist()
+    return GroupMetric(overall=float(_ratio(sums.sum(), counts.sum())),
+                       majority=majority, marginalised=marginalised)
 
 
 GROUPS = ("overall", "majority", "marginalised", "gap")

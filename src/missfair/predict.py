@@ -15,7 +15,7 @@ import numpy as np
 
 from .data_model import ConfigurationError
 from .linalg_stat import SingularSystemError
-from .metrics import _auc_core
+from .metrics import UndefinedMetricError, _auc_core
 
 
 class ConvergenceError(RuntimeError):
@@ -237,6 +237,7 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     Without tuning data the penalty is `fixed_penalty` (default 1.0). With it,
     each grid value is fitted on the training draws and scored by the AUC of the
     averaged tuning predictions; the best value wins, ties to the smaller penalty.
+    Tuning outcomes of one class leave every AUC undefined: UndefinedMetricError.
     """
     spec = spec or LogisticSpec()
     y = np.asarray(train_outcome, dtype=float)
@@ -245,6 +246,9 @@ def train(train_result, train_outcome, spec=None, tune_result=None, tune_outcome
     if tune_result is not None and tune_result.n_draws != train_result.n_draws:
         raise ConfigurationError(f"tuning data has {tune_result.n_draws} draws but the "
                                  f"training data has {train_result.n_draws}")
+    if tune_result is not None and np.unique(tune_outcome).size < 2:
+        raise UndefinedMetricError("the tuning partition holds one outcome class, so its "
+                                   "AUC cannot choose a penalty")
 
     penalties = [spec.fixed_penalty] if tune_result is None else sorted(spec.penalty_grid)
     fits = [[] for _ in penalties]      # fits[k][i]: draw i at penalties[k]

@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from missfair import cli, harness, impute, metrics, predict
-from missfair.data_model import ConfigurationError
+from missfair.data_model import (Cohort, ConfigurationError, MaskedCohort,
+                                 ObservationMask)
 from missfair.predict import ConvergenceError
 
 SMALL_POPULATION = {
@@ -421,6 +422,23 @@ def test_repetition_seeds_differ_but_runs_reproduce():
     assert not _equal(a[key], c[key])
 
 
+def test_a_one_class_tuning_partition_is_a_contained_cell_error():
+    rng = np.random.default_rng(9)
+
+    def part(n, outcome):
+        cohort = Cohort(rng.standard_normal((n, 2)), (rng.random(n) < 0.3).astype(int), outcome)
+        observed = np.ones((n, 2), dtype=bool)
+        observed[::4, 1] = False
+        return MaskedCohort(cohort, ObservationMask(observed))
+    partitions = (part(400, rng.integers(0, 2, 400)), part(50, np.zeros(50, dtype=int)),
+                  part(100, rng.integers(0, 2, 100)))
+    values, error = harness._run_cell(impute.ImputerSpec("population_mean"),
+                                      predict.LogisticSpec(), partitions, (0.25,), target=1)
+    assert values is None
+    assert error == ("UndefinedMetricError: the tuning partition holds one outcome class, "
+                     "so its AUC cannot choose a penalty")
+
+
 def test_read_csv_cohort_missing_cells(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x1,x2,group,outcome\n1.0,2.0,0,1\n3.0,,1,0\n,5.0,1,1\n")
@@ -527,6 +545,26 @@ def test_read_csv_cohort_skips_blank_lines(tmp_path):
     assert str(error.value) == f"{blank}, line 2303, column 'x2': 'inf' is not a finite number"
 
 
+@pytest.mark.parametrize("header", ["x1, x2, group, outcome\n", "\nx1,x2,group,outcome\n",
+                                    "\r\n\n x1 ,x2,group , outcome\n"],
+                         ids=["spaced", "blank-first", "both"])
+def test_read_csv_cohort_reads_the_header_like_a_data_row(tmp_path, header):
+    path = tmp_path / "t.csv"
+    path.write_text(header + "1.0,2.0,0,1\n3.0,,1,0\n")
+    cohort, mask, names = harness.read_csv_cohort(str(path))
+    assert names == ["x1", "x2"]
+    assert cohort.group.tolist() == [0, 1] and cohort.outcome.tolist() == [1, 0]
+    assert mask.observed.tolist() == [[True, True], [True, False]]
+
+
+def test_read_csv_cohort_names_the_line_of_a_bad_cell_after_a_blank_first_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("\nx1,x2,group,outcome\n1.0,2.0,0,1\n3.0,abc,1,0\n")
+    with pytest.raises(ConfigurationError) as error:
+        harness.read_csv_cohort(str(path))
+    assert str(error.value) == f"{path}, line 4, column 'x2': 'abc' is not a finite number"
+
+
 def test_read_csv_cohort_ignores_a_byte_order_mark(tmp_path):
     plain = _csv_with_blocks(tmp_path / "plain.csv", edits=_ODD_CELLS)
     marked = tmp_path / "marked.csv"
@@ -550,6 +588,9 @@ def test_read_csv_cohort_rejects_a_repeated_column_name(tmp_path):
     with pytest.raises(ConfigurationError) as error:
         harness.read_csv_cohort(str(path))
     assert str(error.value) == "the CSV header names column 'group' more than once"
+    path.write_text("group,x1, group,outcome\n1,0.5,1,0\n0,1.5,0,1\n")
+    with pytest.raises(ConfigurationError, match="names column 'group' more than once"):
+        harness.read_csv_cohort(str(path))
 
 
 def test_read_csv_cohort_requires_columns(tmp_path):

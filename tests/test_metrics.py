@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,56 @@ def test_reconstruction_error_averages_draws():
     r = reconstruction_error([(MaskedCohort(cohort, mask), ImputationResult((a, b)))], 1)
     assert r.marginalised == pytest.approx(1.0)
     assert math.isnan(r.majority)
+
+
+def test_reconstruction_error_equals_the_stacked_mean_over_every_draw():
+    # unequal masked counts per group, and a last partition that masks only the majority
+    rng = np.random.default_rng(5)
+    parts = []
+    for n, masks_marginalised in ((60, True), (35, True), (20, False)):
+        X = rng.normal(size=(n, 3))
+        group = (rng.random(n) < 0.3).astype(int)
+        observed = rng.random((n, 3)) < 0.5
+        if not masks_marginalised:
+            observed[group == 1, 2] = True
+        draws = tuple(X + rng.normal(size=(n, 3)) for _ in range(3))
+        parts.append((MaskedCohort(Cohort(X, group, np.zeros(n, dtype=int)),
+                                   ObservationMask(observed)), ImputationResult(draws)))
+
+    # reference: stack every draw's masked squared errors, then take three means
+    errors = np.concatenate([np.stack([(m[~p.mask.observed[:, 2], 2]
+                                        - p.cohort.covariates[~p.mask.observed[:, 2], 2]) ** 2
+                                       for m in r.completed]) for p, r in parts], axis=1)
+    group = np.concatenate([p.group[~p.mask.observed[:, 2]] for p, _ in parts])
+    majority_masked, marginalised_masked = np.bincount(group)
+    assert majority_masked != marginalised_masked > 0
+
+    recon = reconstruction_error(parts, 2)
+    assert recon.overall == pytest.approx(errors.mean(), rel=1e-12)
+    assert recon.majority == pytest.approx(errors[:, group == 0].mean(), rel=1e-12)
+    assert recon.marginalised == pytest.approx(errors[:, group == 1].mean(), rel=1e-12)
+
+
+def test_reconstruction_error_holds_no_copy_of_every_draw():
+    n, n_draws = 50_000, 10
+    rng = np.random.default_rng(6)
+    parts = []
+    for _ in range(2):
+        X = rng.normal(size=(n, 2))
+        observed = np.ones((n, 2), dtype=bool)
+        observed[:, 1] = False
+        cohort = Cohort(X, (rng.random(n) < 0.3).astype(int), np.zeros(n, dtype=int))
+        parts.append((MaskedCohort(cohort, ObservationMask(observed)),
+                      ImputationResult(tuple(X + rng.normal(size=(n, 2))
+                                             for _ in range(n_draws)))))
+    one_draw_bytes = 2 * n * 8          # one draw's squared errors over both partitions
+    tracemalloc.start()
+    try:
+        reconstruction_error(parts, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * one_draw_bytes
 
 
 def test_reconstruction_error_requires_missing_entries():

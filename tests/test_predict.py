@@ -7,7 +7,7 @@ import pytest
 from missfair import harness, impute, predict
 from missfair.data_model import ConfigurationError, ImputationResult, SplitSpec, split
 from missfair.linalg_stat import SingularSystemError
-from missfair.metrics import _auc_core
+from missfair.metrics import UndefinedMetricError, _auc_core
 from missfair.missingness import apply_scenario
 from missfair.predict import LogisticSpec, _penalised_loss, _sigmoid
 from missfair.synthgen import generate
@@ -84,6 +84,18 @@ def test_penalty_tuned_on_separate_partition():
     model = predict.train(train_result, train_y, spec,
                           tune_result=tune_result, tune_outcome=tune_y)
     assert model.penalty in spec.penalty_grid
+
+
+def test_a_one_class_tuning_partition_cannot_choose_a_penalty(monkeypatch):
+    # every tuning AUC was nan, so the smallest grid value won in silence
+    train_result, train_y = _data(n=400, seed=3)
+    tune_result, _ = _data(n=50, seed=4)
+    fits = []
+    monkeypatch.setattr(predict, "_fit_draw", lambda *args: fits.append(args))
+    with pytest.raises(UndefinedMetricError, match="tuning partition holds one outcome class"):
+        predict.train(train_result, train_y, LogisticSpec(), tune_result=tune_result,
+                      tune_outcome=np.zeros(50, dtype=int))
+    assert not fits
 
 
 def test_default_penalty_is_one_without_tuning():
