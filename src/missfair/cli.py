@@ -45,7 +45,8 @@ def main(argv=None):
     _add_common(p)
     p.add_argument("--seed", type=int, help="override the run seed")
     p.add_argument("--repetitions", type=int, help="number of repetitions")
-    p.add_argument("--threads", type=int, help="worker threads across repetitions")
+    p.add_argument("--threads", type=int,
+                   help="repetitions run at once, each in a worker process")
 
     p = sub.add_parser("audit-csv", help="audit imputers on an external CSV")
     _add_common(p)

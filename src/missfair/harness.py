@@ -4,15 +4,17 @@ Three entry points: `run_simulation` (synthetic cohorts, repeated end to end),
 `run_csv_audit` (one external table, bootstrap CIs), and `run_region_scan`
 (closed-form gap maps over a correlation grid). All of them write a long-format
 `report.csv` plus a `manifest.json` capturing the resolved configuration.
+`run_simulation` runs `threads` repetitions at once, each in a worker process;
+with `threads: 1` it runs them one after another in the calling process.
 """
 
+import concurrent.futures
 import copy
 import csv
 import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -429,8 +431,13 @@ def audit_sign_convention(rows, tolerance=1e-9):
 def run_simulation(config):
     """Repeat generate/mask/split/impute/train/audit; aggregate across repetitions."""
     run = _plan(config)["run"]
-    with ThreadPoolExecutor(max_workers=run["threads"]) as pool:
-        results = list(pool.map(partial(_simulate_repetition, config), range(run["repetitions"])))
+    repetition, reps = partial(_simulate_repetition, config), range(run["repetitions"])
+    if run["threads"] == 1:
+        results = list(map(repetition, reps))
+    else:   # the pool class is looked up here, so a threads-1 run never imports multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(run["threads"], run["repetitions"])) as pool:
+            results = list(pool.map(repetition, reps))
     return _audited_report(_aggregate(results, run["repetitions"]),
                            {"mode": "simulate", "config": _manifest_config(config)})
 
@@ -461,11 +468,10 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
     covariates. Returns (Cohort, ObservationMask, covariate_names); ground truth
     at missing positions is unknowable, so those cells carry 0 under the mask.
     Cells and header names are stripped, so a whitespace-only covariate cell is
-    missing too, and blank lines (before the header too) and a leading
-    byte-order mark are skipped. A header that names a
-    column twice raises ConfigurationError; so do ragged rows, non-finite
-    covariates and a third value in the group or outcome column, naming the line
-    and column.
+    missing too, and blank or whitespace-only lines (before the header too) and a
+    leading byte-order mark are skipped. A header that names a column twice
+    raises ConfigurationError; so do ragged rows, non-finite covariates and a
+    third value in the group or outcome column, naming the line and column.
     """
     if group_column == outcome_column:
         raise ConfigurationError(f"the group and outcome columns must differ, both are "
@@ -486,7 +492,8 @@ def _read_table(path, group_column, outcome_column, marks, blocked):
     None when `blocked` and a block needs the row path."""
     with _open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        lines = filter(None, reader)    # csv.reader reads a blank line as []
+        # csv.reader reads a blank line as [] and a whitespace-only one as [' \t']
+        lines = (row for row in reader if len(row) > 1 or row and row[0].strip())
         header = [name.strip() for name in next(lines, [])]
         if repeated := sorted({name for name in header if header.count(name) > 1}):
             raise ConfigurationError(f"the CSV header names column {repeated[0]!r} more than once")

@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import os
 import re
 
@@ -334,6 +336,66 @@ def test_simulation_deterministic_across_thread_counts(tmp_path):
     assert open(pa, "rb").read() == open(pb, "rb").read()
 
 
+# two rows leave the 0.2 test partition empty: split raises inside every repetition
+_EMPTY_TEST = {"n_majority": 1, "n_marginalised": 1}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_repetition_error_reaches_the_caller_unchanged(threads):
+    with pytest.raises(ConfigurationError) as error:
+        harness.run_simulation(_small_config(population=dict(SMALL_POPULATION, **_EMPTY_TEST),
+                                             threads=threads))
+    assert type(error.value) is ConfigurationError
+    assert str(error.value) == "partition with fraction 0.2 would be empty at n=2"
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_reports_a_worker_error_as_one_usage_error(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"population": _EMPTY_TEST, "repetitions": 2}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["simulate", "--config", str(path), "--threads", "2",
+                  "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "missfair simulate: error: partition with fraction 0.2 would be empty at n=2"]
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_simulation_starts_one_worker_per_repetition_at_most(monkeypatch):
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    report = harness.run_simulation(_small_config(threads=3, repetitions=2))
+    assert started == [2]
+    assert {row["n_repetitions"] for row in report.rows} == {2}
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads, in_caller", [(1, 3), (2, 0)])
+def test_only_one_thread_runs_the_repetitions_in_the_calling_process(monkeypatch, threads,
+                                                                     in_caller):
+    pids = []
+    original = harness.generate
+
+    def counted(spec):
+        pids.append(os.getpid())
+        return original(spec)
+
+    monkeypatch.setattr(harness, "generate", counted)
+    report = harness.run_simulation(_small_config(threads=threads, repetitions=3))
+    assert pids == [os.getpid()] * in_caller
+    assert {row["n_repetitions"] for row in report.rows} == {3}
+    assert multiprocessing.active_children() == []
+
+
 def test_simulation_contains_cell_errors(monkeypatch):
     calls = []
     original = impute.fit
@@ -563,6 +625,28 @@ def test_read_csv_cohort_names_the_line_of_a_bad_cell_after_a_blank_first_line(t
     with pytest.raises(ConfigurationError) as error:
         harness.read_csv_cohort(str(path))
     assert str(error.value) == f"{path}, line 4, column 'x2': 'abc' is not a finite number"
+
+
+def test_read_csv_cohort_skips_a_whitespace_only_line_before_the_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(" \t\nx1,x2,group,outcome\n1.0,2.0,0,1\n3.0,,1,0\n")
+    for blocked in (True, False):
+        X, binary, names = harness._read_table(str(path), "group", "outcome", ("1", "1"), blocked)
+        assert names == ["x1", "x2"] and binary.tolist() == [[0, 1], [1, 0]]
+        assert np.array_equal(X, [[1.0, 2.0], [3.0, np.nan]], equal_nan=True)
+
+
+def test_read_csv_cohort_skips_a_whitespace_only_line_inside_the_table(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("group,x1,outcome\n1,0.5,0\n \t\n0,,1\n")
+    for blocked in (True, False):
+        X, binary, names = harness._read_table(str(path), "group", "outcome", ("1", "1"), blocked)
+        assert names == ["x1"] and binary.tolist() == [[1, 0], [0, 1]]
+        assert np.array_equal(X, [[0.5], [np.nan]], equal_nan=True)
+    path.write_text("group,x1,outcome\n1,0.5,0\n \t\n0,abc,1\n")
+    with pytest.raises(ConfigurationError) as error:
+        harness.read_csv_cohort(str(path))
+    assert str(error.value) == f"{path}, line 4, column 'x1': 'abc' is not a finite number"
 
 
 def test_read_csv_cohort_ignores_a_byte_order_mark(tmp_path):
