@@ -456,7 +456,8 @@ def _manifest_config(config):
 
 
 # read_csv_cohort parses a block of rows at a time: numpy's object-to-float cast calls
-# float() once per cell, as the row path does, without holding every row's strings.
+# float() once per cell, without holding every row's strings. A block with a bad line
+# ends the read, and a walk over that block alone names the line.
 _CSV_BLOCK_ROWS = 2048
 
 
@@ -471,30 +472,24 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
     missing too, and blank or whitespace-only lines (before the header too) and a
     leading byte-order mark are skipped. A header that names a column twice
     raises ConfigurationError; so do ragged rows, non-finite covariates and a
-    third value in the group or outcome column, naming the line and column.
+    third value in the group or outcome column, naming the first bad line and its column.
     """
     if group_column == outcome_column:
         raise ConfigurationError(f"the group and outcome columns must differ, both are "
                                  f"{group_column!r}")
-    marks = (str(marginalised_value), str(positive_value))
-    # a block that is not plainly valid sends the file to the row path, which names the
-    # offending line and column
-    X, binary, names = (_read_table(path, group_column, outcome_column, marks, blocked=True)
-                        or _read_table(path, group_column, outcome_column, marks, blocked=False))
+    X, binary, names = _read_table(path, group_column, outcome_column,
+                                   (str(marginalised_value), str(positive_value)))
     if not len(X) or not names:
         raise ConfigurationError("CSV needs at least one row and one covariate column")
     group, outcome = binary.T
     return Cohort(np.nan_to_num(X), group, outcome), ObservationMask(~np.isnan(X)), names
 
 
-def _read_table(path, group_column, outcome_column, marks, blocked):
-    """(covariates with nan where missing, (n, 2) group/outcome flags, covariate names);
-    None when `blocked` and a block needs the row path."""
+def _read_table(path, group_column, outcome_column, marks):
+    """(covariates with nan where missing, (n, 2) group/outcome flags, covariate names)."""
     with _open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        # csv.reader reads a blank line as [] and a whitespace-only one as [' \t']
-        lines = (row for row in reader if len(row) > 1 or row and row[0].strip())
-        header = [name.strip() for name in next(lines, [])]
+        lines = _numbered_rows(csv.reader(handle))
+        header = [name.strip() for name in next(lines, [None])[:-1]]
         if repeated := sorted({name for name in header if header.count(name) > 1}):
             raise ConfigurationError(f"the CSV header names column {repeated[0]!r} more than once")
         if group_column not in header or outcome_column not in header:
@@ -503,51 +498,40 @@ def _read_table(path, group_column, outcome_column, marks, blocked):
         g_idx, y_idx = header.index(group_column), header.index(outcome_column)
         cov_idx = [i for i in range(len(header)) if i not in (g_idx, y_idx)]
         labels = {g_idx: [marks[0]], y_idx: [marks[1]]}
-        if blocked:
-            blocks = []
-            while rows := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
-                block = _parse_block(rows, len(header), cov_idx, labels, (g_idx, y_idx))
-                if block is None:
-                    return None
-                blocks.append(block)
-            X, binary = (np.concatenate(parts) for parts in zip(*blocks)) if blocks else ((), ())
-        else:
-            X, binary = [], []
-            for row in lines:
-                where = f"{path}, line {reader.line_num}"
-                if len(row) != len(header):
-                    raise ConfigurationError(
-                        f"{where}: {len(row)} fields where the header has {len(header)}")
-                cells = [cell.strip() for cell in row]
-                for i, allowed in labels.items():   # the marked value plus one other
-                    if cells[i] not in allowed:
-                        allowed.append(cells[i])
-                    if len(allowed) > 2:
-                        raise ConfigurationError(
-                            f"{where}, column '{header[i]}': {cells[i]!r} is a third value "
-                            f"besides {allowed[0]!r} and {allowed[1]!r}")
-                binary.append([int(cells[i] == labels[i][0]) for i in (g_idx, y_idx)])
-                X.append([_covariate(cells[i], header[i], where) for i in cov_idx])
-            X, binary = np.array(X), np.array(binary)
+        blocks = []
+        while rows := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
+            seen = {i: allowed.copy() for i, allowed in labels.items()}
+            block = _parse_block(rows, len(header) + 1, cov_idx, labels)
+            if block is None:
+                _raise_first_bad_line(path, header, rows, cov_idx, seen)
+            blocks.append(block)
+        X, binary = (np.concatenate(parts) for parts in zip(*blocks)) if blocks else ((), ())
     return X, binary, [header[i] for i in cov_idx]
 
 
-def _parse_block(rows, width, cov_idx, labels, binary_idx):
-    """One block's (covariates, group/outcome flags) as `_read_table` returns them, or
-    None for a ragged row, a covariate cell that is not a finite number, empty or
+def _numbered_rows(reader):
+    """Non-blank rows ([] and [' \t'] are blank), each ending in the number of its last line."""
+    for row in reader:
+        if len(row) > 1 or row and row[0].strip():
+            row.append(reader.line_num)
+            yield row
+
+
+def _parse_block(rows, width, cov_idx, labels):
+    """One block of `_numbered_rows`' rows as (covariates, group/outcome flags), or None
+    for a ragged row, a covariate cell that is not a finite number, empty or
     whitespace-only, or a third group or outcome value."""
     if set(map(len, rows)) != {width}:
         return None
     block = np.array(rows, dtype=object)
-    marked = {}     # per label column: the raw cells that strip to its marked value
+    flags = []      # per label column: whether each raw cell strips to its marked value
     for i, allowed in labels.items():
         raw = set(block[:, i].tolist())
         new = {cell.strip() for cell in raw}.difference(allowed)
         if len(allowed) + len(new) > 2:
             return None
         allowed.extend(new)
-        marked[i] = [cell for cell in raw if cell.strip() == allowed[0]]
-    flags = [np.isin(block[:, i], marked[i]) for i in binary_idx]
+        flags.append(np.isin(block[:, i], [cell for cell in raw if cell.strip() == allowed[0]]))
     try:
         X, missing = _floats(block[:, cov_idx])
     except ValueError:      # float() reads " 1.5 " but not "  ": strip, and cast once more
@@ -571,16 +555,30 @@ def _floats(cells):
     return cells.astype(float), missing
 
 
-def _covariate(cell, column, where):
-    """A finite float, or nan for an empty (missing) cell."""
-    if cell == "":
-        return math.nan
-    try:
-        if math.isfinite(float(cell)):
-            return float(cell)
-    except ValueError:
-        pass
-    raise ConfigurationError(f"{where}, column '{column}': {cell!r} is not a finite number")
+def _raise_first_bad_line(path, header, rows, cov_idx, labels):
+    """Raise ConfigurationError naming the first bad line of a block that `_parse_block`
+    refused, and its column; `labels` holds the group and outcome values seen before it."""
+    for *row, line in rows:
+        where = f"{path}, line {line}"
+        if len(row) != len(header):
+            raise ConfigurationError(
+                f"{where}: {len(row)} fields where the header has {len(header)}")
+        cells = [cell.strip() for cell in row]
+        for i, allowed in labels.items():   # the marked value plus one other
+            if cells[i] not in allowed:
+                allowed.append(cells[i])
+            if len(allowed) > 2:
+                raise ConfigurationError(
+                    f"{where}, column '{header[i]}': {cells[i]!r} is a third value "
+                    f"besides {allowed[0]!r} and {allowed[1]!r}")
+        for i in cov_idx:
+            try:
+                if not cells[i] or math.isfinite(float(cells[i])):
+                    continue
+            except ValueError:
+                pass
+            raise ConfigurationError(
+                f"{where}, column '{header[i]}': {cells[i]!r} is not a finite number")
 
 
 def run_csv_audit(config):

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -333,7 +334,7 @@ def test_simulation_deterministic_across_thread_counts(tmp_path):
     b = harness.run_simulation(_small_config(threads=3))
     pa = a.write(str(tmp_path / "a"))
     pb = b.write(str(tmp_path / "b"))
-    assert open(pa, "rb").read() == open(pb, "rb").read()
+    assert pathlib.Path(pa).read_bytes() == pathlib.Path(pb).read_bytes()
 
 
 # two rows leave the 0.2 test partition empty: split raises inside every repetition
@@ -546,27 +547,37 @@ _ODD_CELLS = {(5, 0): " 1.5 ", (6, 1): "1e-3", (7, 2): "-0", (2100, 0): "+.5",
               (2104, 4): "0 "}
 
 
-def test_read_csv_cohort_blocks_parse_bitwise_as_the_row_path(tmp_path):
+def _float_of_each_cell(path):
+    """(covariates, group/outcome flags) of a `_csv_with_blocks` table read one cell at a
+    time: float() of each stripped covariate cell, nan for an empty one, 1 for a label "1"."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    X = [[float(cell.strip()) if cell.strip() else math.nan for cell in row[:3]] for row in rows]
+    return np.array(X), np.array([[int(cell.strip() == "1") for cell in row[3:]] for row in rows])
+
+
+def _assert_reads_as_float_of_each_cell(path):
+    cohort, mask, names = harness.read_csv_cohort(path)
+    X, binary = _float_of_each_cell(path)
+    assert names == ["x1", "x2", "x3"]
+    assert cohort.covariates.tobytes() == np.nan_to_num(X).tobytes()
+    assert np.array_equal(mask.observed, ~np.isnan(X))
+    assert np.array_equal(np.column_stack([cohort.group, cohort.outcome]), binary)
+    return cohort, mask
+
+
+def test_read_csv_cohort_blocks_parse_bitwise_as_float_of_each_cell(tmp_path):
     path = _csv_with_blocks(tmp_path / "t.csv", edits=_ODD_CELLS)
-    marks = ("1", "1")
-    blocked = harness._read_table(path, "group", "outcome", marks, blocked=True)
-    rows = harness._read_table(path, "group", "outcome", marks, blocked=False)
-    assert blocked is not None and blocked[2] == rows[2] == ["x1", "x2", "x3"]
-    assert blocked[0].tobytes() == rows[0].tobytes()
-    assert np.array_equal(blocked[1], rows[1])
-    X = blocked[0]
+    cohort, mask = _assert_reads_as_float_of_each_cell(path)
+    X = cohort.covariates
     assert (X[5, 0], X[6, 1], X[8, 0], X[2100, 0], X[2101, 1]) == (1.5, 1e-3, 2.5, 0.5, 1000.0)
-    assert np.signbit(X[7, 2]) and X[7, 2] == 0.0 and np.isnan(X[2102, 2])
-    assert blocked[1][2103, 0] == 1 and blocked[1][2104, 1] == 0
+    assert np.signbit(X[7, 2]) and X[7, 2] == 0.0 and not mask.observed[2102, 2]
+    assert cohort.group[2103] == 1 and cohort.outcome[2104] == 0
 
 
 def test_read_csv_cohort_whitespace_only_cells_are_missing(tmp_path):
     path = _csv_with_blocks(tmp_path / "t.csv", edits={**_ODD_CELLS, (2200, 1): "   "})
-    cohort, mask, _ = harness.read_csv_cohort(path)
-    blocked = harness._read_table(path, "group", "outcome", ("1", "1"), blocked=True)
-    rows = harness._read_table(path, "group", "outcome", ("1", "1"), blocked=False)
-    assert blocked[0].tobytes() == rows[0].tobytes() and blocked[2] == rows[2]
-    assert np.array_equal(blocked[1], rows[1])
+    cohort, mask = _assert_reads_as_float_of_each_cell(path)
     assert np.flatnonzero(~mask.observed.ravel()).tolist() == [2102 * 3 + 2, 2200 * 3 + 1]
     assert cohort.covariates[2200, 1] == 0.0 and cohort.covariates[7, 2] == 0.0
 
@@ -586,17 +597,38 @@ def test_read_csv_cohort_names_a_bad_cell_in_a_later_block(tmp_path, edits, mess
     assert str(error.value) == f"{path}, {message}"
 
 
+def test_read_csv_cohort_names_the_first_bad_line_among_several(tmp_path):
+    # the block check meets the ragged row (line 2306) first; the message names line 2302
+    path = _csv_with_blocks(tmp_path / "t.csv",
+                            edits={(2300, 1): "abc", (2302, 3): "2", (2304, 4): "1,7"})
+    with pytest.raises(ConfigurationError) as error:
+        harness.read_csv_cohort(path)
+    assert str(error.value) == f"{path}, line 2302, column 'x2': 'abc' is not a finite number"
+
+
+def test_read_csv_cohort_opens_a_malformed_table_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(path, **kwargs):
+        opened.append(path)
+        return open(path, **kwargs)
+    monkeypatch.setattr(harness, "_open", counting_open)
+    path = _csv_with_blocks(tmp_path / "t.csv", edits={(2300, 1): "inf"})
+    with pytest.raises(ConfigurationError, match="line 2302, column 'x2'"):
+        harness.read_csv_cohort(path)
+    assert opened == [path]
+
+
 def test_read_csv_cohort_skips_blank_lines(tmp_path):
     def with_blank_lines(path):
         """A copy with a blank line inside the second parse block and one at the end."""
-        lines = open(path, "rb").read().split(b"\r\n")   # header, 2600 rows, ""
+        lines = pathlib.Path(path).read_bytes().split(b"\r\n")   # header, 2600 rows, ""
         copy = tmp_path / "blank.csv"
         copy.write_bytes(b"\r\n".join(lines[:2102] + [b""] + lines[2102:]) + b"\r\n")
         return str(copy)
 
     plain = _csv_with_blocks(tmp_path / "plain.csv")
     blank = with_blank_lines(plain)
-    assert harness._read_table(blank, "group", "outcome", ("1", "1"), True) is not None
     (cohort, mask, names), expected = harness.read_csv_cohort(blank), harness.read_csv_cohort(plain)
     assert names == expected[2] and np.array_equal(mask.observed, expected[1].observed)
     for field in ("covariates", "group", "outcome"):
@@ -630,19 +662,21 @@ def test_read_csv_cohort_names_the_line_of_a_bad_cell_after_a_blank_first_line(t
 def test_read_csv_cohort_skips_a_whitespace_only_line_before_the_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(" \t\nx1,x2,group,outcome\n1.0,2.0,0,1\n3.0,,1,0\n")
-    for blocked in (True, False):
-        X, binary, names = harness._read_table(str(path), "group", "outcome", ("1", "1"), blocked)
-        assert names == ["x1", "x2"] and binary.tolist() == [[0, 1], [1, 0]]
-        assert np.array_equal(X, [[1.0, 2.0], [3.0, np.nan]], equal_nan=True)
+    cohort, mask, names = harness.read_csv_cohort(str(path))
+    assert names == ["x1", "x2"]
+    assert cohort.group.tolist() == [0, 1] and cohort.outcome.tolist() == [1, 0]
+    assert cohort.covariates.tolist() == [[1.0, 2.0], [3.0, 0.0]]
+    assert mask.observed.tolist() == [[True, True], [True, False]]
 
 
 def test_read_csv_cohort_skips_a_whitespace_only_line_inside_the_table(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("group,x1,outcome\n1,0.5,0\n \t\n0,,1\n")
-    for blocked in (True, False):
-        X, binary, names = harness._read_table(str(path), "group", "outcome", ("1", "1"), blocked)
-        assert names == ["x1"] and binary.tolist() == [[1, 0], [0, 1]]
-        assert np.array_equal(X, [[0.5], [np.nan]], equal_nan=True)
+    cohort, mask, names = harness.read_csv_cohort(str(path))
+    assert names == ["x1"]
+    assert cohort.group.tolist() == [1, 0] and cohort.outcome.tolist() == [0, 1]
+    assert cohort.covariates.tolist() == [[0.5], [0.0]]
+    assert mask.observed.tolist() == [[True], [False]]
     path.write_text("group,x1,outcome\n1,0.5,0\n \t\n0,abc,1\n")
     with pytest.raises(ConfigurationError) as error:
         harness.read_csv_cohort(str(path))
@@ -652,7 +686,7 @@ def test_read_csv_cohort_skips_a_whitespace_only_line_inside_the_table(tmp_path)
 def test_read_csv_cohort_ignores_a_byte_order_mark(tmp_path):
     plain = _csv_with_blocks(tmp_path / "plain.csv", edits=_ODD_CELLS)
     marked = tmp_path / "marked.csv"
-    marked.write_bytes(b"\xef\xbb\xbf" + open(plain, "rb").read())
+    marked.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(plain).read_bytes())
     (cohort, mask, names), expected = harness.read_csv_cohort(str(marked)), \
         harness.read_csv_cohort(plain)
     assert names == expected[2] == ["x1", "x2", "x3"]
