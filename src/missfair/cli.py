@@ -61,7 +61,9 @@ def main(argv=None):
 
     p = sub.add_parser("validate-theorems",
                        help="Monte Carlo check of the closed-form error formulas")
-    p.add_argument("--cases", type=_positive(int), default=20)
+    p.add_argument("--cases", type=_positive(int), default=20,
+                   help="random cases, run at once: one worker process per usable CPU, "
+                        "at most one per case; the output is the same for any CPU count")
     p.add_argument("--samples", type=_positive(int), default=1_000_000)
     p.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     p.add_argument("--tolerance", type=_positive(float), default=0.02)

@@ -4,8 +4,10 @@ Three entry points: `run_simulation` (synthetic cohorts, repeated end to end),
 `run_csv_audit` (one external table, bootstrap CIs), and `run_region_scan`
 (closed-form gap maps over a correlation grid). All of them write a long-format
 `report.csv` plus a `manifest.json` capturing the resolved configuration.
-`run_simulation` runs `threads` repetitions at once, each in a worker process;
-with `threads: 1` it runs them one after another in the calling process.
+`run_simulation` runs `threads` repetitions at once, and `run_theorem_validation`
+(a Monte Carlo check of the closed forms) one case per usable CPU, each in a worker
+process; with one worker they run one after another in the calling process. Their
+output is the same for any number of workers.
 """
 
 import concurrent.futures
@@ -15,6 +17,7 @@ import itertools
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -431,15 +434,29 @@ def audit_sign_convention(rows, tolerance=1e-9):
 def run_simulation(config):
     """Repeat generate/mask/split/impute/train/audit; aggregate across repetitions."""
     run = _plan(config)["run"]
-    repetition, reps = partial(_simulate_repetition, config), range(run["repetitions"])
-    if run["threads"] == 1:
-        results = list(map(repetition, reps))
-    else:   # the pool class is looked up here, so a threads-1 run never imports multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(run["threads"], run["repetitions"])) as pool:
-            results = list(pool.map(repetition, reps))
+    results = _map(partial(_simulate_repetition, config), range(run["repetitions"]),
+                   workers=run["threads"])
     return _audited_report(_aggregate(results, run["repetitions"]),
                            {"mode": "simulate", "config": _manifest_config(config)})
+
+
+def _map(function, *iterables, workers):
+    """list(map(function, *iterables)) on min(workers, number of items) worker processes,
+    in item order; a worker's exception reaches the caller unchanged. With one worker
+    the calling process runs every item, so `function` need not pickle."""
+    workers = min(workers, len(iterables[0]))
+    if workers <= 1:
+        return list(map(function, *iterables))
+    # the pool class is looked up here, so a one-worker run never imports multiprocessing
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(function, *iterables))
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _audited_report(rows, manifest):
@@ -488,8 +505,9 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
 def _read_table(path, group_column, outcome_column, marks):
     """(covariates with nan where missing, (n, 2) group/outcome flags, covariate names)."""
     with _open(path, newline="", encoding="utf-8-sig") as handle:
-        lines = _numbered_rows(csv.reader(handle))
-        header = [name.strip() for name in next(lines, [None])[:-1]]
+        numbers = array("q")    # the line number of each row of the block in hand
+        lines = _numbered_rows(csv.reader(handle), numbers)
+        header = [name.strip() for name in next(lines, [])]
         if repeated := sorted({name for name in header if header.count(name) > 1}):
             raise ConfigurationError(f"the CSV header names column {repeated[0]!r} more than once")
         if group_column not in header or outcome_column not in header:
@@ -499,26 +517,29 @@ def _read_table(path, group_column, outcome_column, marks):
         cov_idx = [i for i in range(len(header)) if i not in (g_idx, y_idx)]
         labels = {g_idx: [marks[0]], y_idx: [marks[1]]}
         blocks = []
+        del numbers[:]      # the header's
         while rows := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
             seen = {i: allowed.copy() for i, allowed in labels.items()}
-            block = _parse_block(rows, len(header) + 1, cov_idx, labels)
+            block = _parse_block(rows, len(header), cov_idx, labels)
             if block is None:
-                _raise_first_bad_line(path, header, rows, cov_idx, seen)
+                _raise_first_bad_line(path, header, rows, numbers, cov_idx, seen)
             blocks.append(block)
+            del numbers[:]
         X, binary = (np.concatenate(parts) for parts in zip(*blocks)) if blocks else ((), ())
     return X, binary, [header[i] for i in cov_idx]
 
 
-def _numbered_rows(reader):
-    """Non-blank rows ([] and [' \t'] are blank), each ending in the number of its last line."""
+def _numbered_rows(reader, numbers):
+    """Non-blank rows ([] and [' \t'] are blank); appends the number of each one's last
+    line to the array `numbers`."""
     for row in reader:
         if len(row) > 1 or row and row[0].strip():
-            row.append(reader.line_num)
+            numbers.append(reader.line_num)
             yield row
 
 
 def _parse_block(rows, width, cov_idx, labels):
-    """One block of `_numbered_rows`' rows as (covariates, group/outcome flags), or None
+    """One block of CSV rows as (covariates, group/outcome flags), or None
     for a ragged row, a covariate cell that is not a finite number, empty or
     whitespace-only, or a third group or outcome value."""
     if set(map(len, rows)) != {width}:
@@ -555,10 +576,11 @@ def _floats(cells):
     return cells.astype(float), missing
 
 
-def _raise_first_bad_line(path, header, rows, cov_idx, labels):
+def _raise_first_bad_line(path, header, rows, numbers, cov_idx, labels):
     """Raise ConfigurationError naming the first bad line of a block that `_parse_block`
-    refused, and its column; `labels` holds the group and outcome values seen before it."""
-    for *row, line in rows:
+    refused, and its column; `numbers` holds each row's line number and `labels` the
+    group and outcome values seen before the block."""
+    for row, line in zip(rows, numbers):
         where = f"{path}, line {line}"
         if len(row) != len(header):
             raise ConfigurationError(
@@ -629,15 +651,19 @@ def sample_feasible_inputs(rng):
 def run_theorem_validation(n_cases=20, n=1_000_000, seed=0, tolerance=0.02):
     """Monte Carlo check of the closed-form errors on random feasible inputs.
 
-    Returns (lines, ok): a printable table and whether every relative error on
-    the marginalised group stayed within tolerance.
+    Returns (lines, ok): a printable table and whether every relative error, in
+    both groups, stayed within tolerance. Every case's inputs and seed are drawn
+    first, so the cases run at once (`_map`) and the table does not depend on how
+    many CPUs run them.
     """
     rng = np.random.default_rng(seed)
+    cases = [(sample_feasible_inputs(rng), int(rng.integers(2 ** 63))) for _ in range(n_cases)]
+    inputs, seeds = zip(*cases) if cases else ((), ())
+    reports = _map(theory.monte_carlo_validate, inputs, [n] * n_cases, seeds,
+                   workers=_usable_cpus())
     lines = ["case  group  closed_group  empirical  closed_pop  empirical  rel_g  rel_pop"]
     ok = True
-    for case in range(n_cases):
-        inputs = sample_feasible_inputs(rng)
-        report = theory.monte_carlo_validate(inputs, n=n, seed=int(rng.integers(2 ** 63)))
+    for case, report in enumerate(reports):
         for key in ("g", "ng"):
             v = report[key]
             within = v.rel_error_group <= tolerance and v.rel_error_pop <= tolerance

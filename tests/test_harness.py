@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from missfair import cli, harness, impute, metrics, predict
+from missfair import cli, harness, impute, metrics, predict, theory
 from missfair.data_model import (Cohort, ConfigurationError, MaskedCohort,
                                  ObservationMask)
 from missfair.predict import ConvergenceError
@@ -793,6 +793,84 @@ def test_theorem_validation_runs_small():
     lines, ok = harness.run_theorem_validation(n_cases=2, n=150000, seed=0, tolerance=0.1)
     assert ok
     assert len(lines) == 5
+
+
+def _validate_theorems(capsys, *argv):
+    """(exit code, stdout, stderr) of one validate-theorems command."""
+    try:
+        code = cli.main(["validate-theorems", *argv])
+    except SystemExit as exit_info:
+        code = exit_info.code
+    return (code, *capsys.readouterr())
+
+
+def test_theorem_validation_prints_the_same_bytes_on_one_and_two_cpus(monkeypatch, capsys):
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        outputs.append(_validate_theorems(capsys, "--cases", "3", "--samples", "20000"))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count("\n") == 1 + 2 * 3 + 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus, cases, workers", [(2, 3, [2]), (4, 2, [2]), (1, 3, []),
+                                                  (2, 1, [])])
+def test_theorem_validation_starts_one_worker_per_cpu_up_to_the_cases(monkeypatch, cpus,
+                                                                      cases, workers):
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    lines, _ = harness.run_theorem_validation(n_cases=cases, n=2000, seed=1)
+    assert started == workers
+    assert len(lines) == 1 + 2 * cases
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus, cases", [(1, 3), (2, 1)])
+def test_one_cpu_or_one_case_validates_in_the_calling_process(monkeypatch, cpus, cases):
+    pids = []
+    original = theory.monte_carlo_validate
+
+    def counted(*args, **kwargs):
+        pids.append(os.getpid())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "monte_carlo_validate", counted)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    harness.run_theorem_validation(n_cases=cases, n=2000, seed=1)
+    assert pids == [os.getpid()] * cases
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_validation_case_error_reaches_the_caller_unchanged(monkeypatch, capsys, cpus):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    message = "n=1 at r_g=0.4439810717600817 leaves the marginalised group no rows"
+    with pytest.raises(ConfigurationError) as error:
+        harness.run_theorem_validation(n_cases=3, n=1, seed=0)
+    assert type(error.value) is ConfigurationError and str(error.value) == message
+    code, out, err = _validate_theorems(capsys, "--cases", "3", "--samples", "1")
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"missfair validate-theorems: error: {message}"]
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_usable_cpus_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert harness._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert harness._usable_cpus() == 3
 
 
 @pytest.mark.parametrize("args", [
