@@ -4,10 +4,10 @@ Three entry points: `run_simulation` (synthetic cohorts, repeated end to end),
 `run_csv_audit` (one external table, bootstrap CIs), and `run_region_scan`
 (closed-form gap maps over a correlation grid). All of them write a long-format
 `report.csv` plus a `manifest.json` capturing the resolved configuration.
-`run_simulation` runs `threads` repetitions at once, and `run_theorem_validation`
-(a Monte Carlo check of the closed forms) one case per usable CPU, each in a worker
-process; with one worker they run one after another in the calling process. Their
-output is the same for any number of workers.
+`run_simulation` runs `threads` repetitions at once, `run_csv_audit` one imputer cell
+per usable CPU and `run_theorem_validation` (a Monte Carlo check of the closed forms)
+one case per usable CPU, each in a worker process; with one worker they run one after
+another in the calling process. Their output is the same for any number of workers.
 """
 
 import concurrent.futures
@@ -321,8 +321,9 @@ def _simulate_repetition(config, rep):
     for s_index, scenario_spec in enumerate(plan["scenarios"]):
         mask = apply_scenario(cohort, replace(scenario_spec,
                                               seed=_derived_seed(seed, rep, 2, s_index)))
+        # the repetition is the unit that runs at once, so its cells run in this process
         for label, values, error in _run_imputers(plan, rep, split(cohort, mask, split_spec),
-                                                  target=scenario_spec.target_covariate):
+                                                  scenario_spec.target_covariate, workers=1):
             if error:
                 errors[(scenario_spec.scenario, label)] = error
             else:
@@ -330,14 +331,18 @@ def _simulate_repetition(config, rep):
     return records, errors
 
 
-def _run_imputers(plan, rep, partitions, target=None, resamples=0):
+def _run_imputers(plan, rep, partitions, target=None, resamples=0, *, workers):
     """(imputer label, values, error) of every configured imputer's `_run_cell` on one
-    split, in configuration order; repetition `rep` stamps the imputer and bootstrap seeds."""
+    split, in configuration order, on up to `workers` worker processes; repetition `rep`
+    stamps the imputer and bootstrap seeds, so no cell reads another's result."""
     seed = plan["run"]["seed"]
-    return [(spec.label(), *_run_cell(replace(spec, seed=_derived_seed(seed, rep, 3, i)),
-                                      plan["model"], partitions, plan["run"]["capacities"],
-                                      target, resamples, _derived_seed(seed, rep, 4, i)))
-            for i, spec in enumerate(plan["imputers"])]
+    specs = [replace(spec, seed=_derived_seed(seed, rep, 3, i))
+             for i, spec in enumerate(plan["imputers"])]
+    shared = map(itertools.repeat, (plan["model"], partitions, plan["run"]["capacities"],
+                                    target, resamples))
+    cells = _map(_run_cell, specs, *shared,
+                 [_derived_seed(seed, rep, 4, i) for i in range(len(specs))], workers=workers)
+    return [(spec.label(), *cell) for spec, cell in zip(specs, cells)]
 
 
 @dataclass(frozen=True)
@@ -604,11 +609,13 @@ def _raise_first_bad_line(path, header, rows, numbers, cov_idx, labels):
 
 
 def run_csv_audit(config):
-    """Audit the five imputers on one external CSV with bootstrap intervals.
+    """Audit the configured imputers on one external CSV with bootstrap intervals.
 
     The table is split by `csv.fractions` (0.8/0.1/0.1 by default); the ridge
     penalty is tuned on the middle partition; metrics are bootstrapped over test
     rows. No reconstruction error is reported: ground truth at missing cells is unknown.
+    The imputer cells run at once (`_map`), one per usable CPU, and the report does not
+    depend on how many CPUs run them.
     """
     plan = _plan(config)
     seed, resamples = plan["run"]["seed"], plan["run"]["bootstrap_resamples"]
@@ -618,7 +625,8 @@ def run_csv_audit(config):
     cohort, mask, names = read_csv_cohort(**arguments)
     partitions = split(cohort, mask, replace(split_spec, seed=_derived_seed(seed, 0, 1)))
     rows = []
-    for label, values, error in _run_imputers(plan, 0, partitions, resamples=resamples):
+    for label, values, error in _run_imputers(plan, 0, partitions, resamples=resamples,
+                                              workers=_usable_cpus()):
         cell = ("csv", label)
         rows += ([_row(cell, resamples, error)] if error else
                  [_row(cell, resamples, "", metric, group, point, *boot[1:5])

@@ -741,6 +741,94 @@ def test_make_standin_and_csv_audit(tmp_path):
     assert all(r["lower"] <= r["mean"] <= r["upper"] for r in aucs)
 
 
+def _audit_csv(capsys, tmp_path, out, *lines):
+    """(exit code, report.csv bytes or None, stderr) of one audit-csv command on a small
+    stand-in; `lines` are added to its config."""
+    standin = tmp_path / "standin.csv"
+    if not standin.exists():
+        harness.make_standin(str(standin), seed=2, n_majority=1500, n_marginalised=300,
+                             n_noise=1)
+    config = tmp_path / "audit.yaml"
+    config.write_text("\n".join(["bootstrap_resamples: 5", "capacities: [0.25]", *lines]) + "\n")
+    try:
+        code = cli.main(["audit-csv", "--config", str(config), "--input", str(standin),
+                         "--out", str(tmp_path / out)])
+    except SystemExit as exit_info:
+        code = exit_info.code
+    report = tmp_path / out / "report.csv"
+    return code, report.read_bytes() if report.exists() else None, capsys.readouterr().err
+
+
+def _record_pools(monkeypatch):
+    """A list to which every worker pool started from now on appends its worker count."""
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return started
+
+
+def test_csv_audit_writes_the_same_bytes_on_one_and_two_cpus(monkeypatch, capsys, tmp_path):
+    original = impute.fit
+
+    def flaky(train, spec):
+        if spec.label() == "GroupMean":
+            raise ConvergenceError("no fit")
+        return original(train, spec)
+
+    monkeypatch.setattr(impute, "fit", flaky)
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        outputs.append(_audit_csv(capsys, tmp_path, f"cpus{cpus}"))
+    assert outputs[0] == outputs[1]
+    code, report, _ = outputs[0]
+    assert code == 0 and b"csv,GroupMean,,,nan,nan,nan,nan,0,5,ConvergenceError: no fit" in report
+    assert len({line.split(b",")[1] for line in report.splitlines()[1:]}) == 5
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus, imputers, workers", [(2, 5, [2]), (4, 2, [2]), (1, 5, []),
+                                                     (2, 1, [])])
+def test_csv_audit_starts_one_worker_per_cpu_up_to_the_imputers(monkeypatch, capsys, tmp_path,
+                                                                cpus, imputers, workers):
+    started = _record_pools(monkeypatch)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    battery = harness.DEFAULT_CONFIG["imputers"][:imputers]
+    code, report, _ = _audit_csv(capsys, tmp_path, "out", f"imputers: {json.dumps(battery)}",
+                                 "model: {penalty_grid: [1.0]}")
+    assert code == 0 and started == workers
+    assert len({line.split(b",")[1] for line in report.splitlines()[1:]}) == imputers
+    assert multiprocessing.active_children() == []
+
+
+def test_a_one_thread_simulation_starts_no_worker(monkeypatch):
+    started = _record_pools(monkeypatch)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    harness.run_simulation(_small_config(threads=1))
+    assert started == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_csv_audit_cell_bug_reaches_the_caller_unchanged(monkeypatch, tmp_path, cpus):
+    def broken(fitted, data):
+        raise TypeError("stale transform signature")
+
+    standin = harness.make_standin(str(tmp_path / "standin.csv"), seed=0,
+                                   n_majority=500, n_marginalised=200, n_noise=1)
+    config = _small_config(csv={"path": standin}, bootstrap_resamples=5)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(impute, "transform", broken)
+    with pytest.raises(TypeError) as error:
+        harness.run_csv_audit(config)
+    assert type(error.value) is TypeError and str(error.value) == "stale transform signature"
+    assert multiprocessing.active_children() == []
+
+
 def test_region_scan_report(tmp_path):
     config = harness.load_config()
     config["region"]["steps"] = 21
