@@ -93,8 +93,12 @@ def load_config(path=None, overrides=None):
     """Resolve a run configuration: defaults, then YAML file, then CLI overrides."""
     config = DEFAULT_CONFIG
     if path is not None:
-        with _open(path) as handle:
-            loaded = yaml.safe_load(handle) or {}
+        with _open(path, mode="rb") as handle:     # PyYAML reads UTF-8 or UTF-16, as YAML says
+            try:
+                loaded = yaml.safe_load(handle) or {}
+            except yaml.YAMLError as exc:
+                message = " ".join(str(exc).split())     # one line, as a usage error prints
+                raise ConfigurationError(f"cannot parse {path}: {message}") from None
         if not isinstance(loaded, dict):
             raise ConfigurationError("configuration file must hold a mapping")
         config = _merge(config, loaded)
@@ -422,6 +426,8 @@ def audit_sign_convention(rows, tolerance=1e-9):
 
     Means are compared where the three rows hold equally many values: a gap is
     defined exactly where both groups are, so equal counts are one set of draws.
+    The rounding of the sums grows with the means, so a gap may miss by `tolerance`
+    times the largest of 1 and the two group means' magnitudes.
     """
     table = {(r["scenario"], r["imputer"], r["metric"], r["group"]): (r["mean"], r["n_values"])
              for r in rows}
@@ -431,7 +437,8 @@ def audit_sign_convention(rows, tolerance=1e-9):
         maj = table.get((scenario, imputer, metric, "majority"))
         if group != "gap" or marg is None or maj is None or not count == marg[1] == maj[1]:
             continue
-        if not math.isnan(value) and abs(value - (marg[0] - maj[0])) > tolerance:
+        scale = max(1.0, abs(marg[0]), abs(maj[0]))
+        if not math.isnan(value) and abs(value - (marg[0] - maj[0])) > tolerance * scale:
             problems.append((scenario, imputer, metric))
     return problems
 
@@ -494,13 +501,18 @@ def read_csv_cohort(path, group_column="group", outcome_column="outcome",
     missing too, and blank or whitespace-only lines (before the header too) and a
     leading byte-order mark are skipped. A header that names a column twice
     raises ConfigurationError; so do ragged rows, non-finite covariates and a
-    third value in the group or outcome column, naming the first bad line and its column.
+    third value in the group or outcome column, naming the first bad line and its column,
+    and a byte that is not UTF-8 text, naming its line.
     """
     if group_column == outcome_column:
         raise ConfigurationError(f"the group and outcome columns must differ, both are "
                                  f"{group_column!r}")
-    X, binary, names = _read_table(path, group_column, outcome_column,
-                                   (str(marginalised_value), str(positive_value)))
+    try:
+        X, binary, names = _read_table(path, group_column, outcome_column,
+                                       (str(marginalised_value), str(positive_value)))
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+        raise
     if not len(X) or not names:
         raise ConfigurationError("CSV needs at least one row and one covariate column")
     group, outcome = binary.T
@@ -520,18 +532,31 @@ def _read_table(path, group_column, outcome_column, marks):
                 f"columns '{group_column}' and '{outcome_column}' must exist in the CSV")
         g_idx, y_idx = header.index(group_column), header.index(outcome_column)
         cov_idx = [i for i in range(len(header)) if i not in (g_idx, y_idx)]
-        labels = {g_idx: [marks[0]], y_idx: [marks[1]]}
+        labels = {g_idx: (marks[0],), y_idx: (marks[1],)}
         blocks = []
         del numbers[:]      # the header's
         while rows := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
-            seen = {i: allowed.copy() for i, allowed in labels.items()}
             block = _parse_block(rows, len(header), cov_idx, labels)
             if block is None:
-                _raise_first_bad_line(path, header, rows, numbers, cov_idx, seen)
+                _raise_first_bad_line(path, header, rows, numbers, cov_idx, labels)
+            *block, labels = block
             blocks.append(block)
             del numbers[:]
         X, binary = (np.concatenate(parts) for parts in zip(*blocks)) if blocks else ((), ())
     return X, binary, [header[i] for i in cov_idx]
+
+
+def _raise_not_utf8(path):
+    """Raise ConfigurationError naming the line and the value of the first byte of `path`
+    that is not UTF-8 text; the file is read again, whole, on this error path."""
+    with _open(path, mode="rb") as handle:
+        data = handle.read()
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        line = len(data[:exc.start + 1].splitlines())     # csv ends a line at \r, \n or \r\n
+        raise ConfigurationError(
+            f"{path}, line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
 
 
 def _numbered_rows(reader, numbers):
@@ -544,20 +569,21 @@ def _numbered_rows(reader, numbers):
 
 
 def _parse_block(rows, width, cov_idx, labels):
-    """One block of CSV rows as (covariates, group/outcome flags), or None
-    for a ragged row, a covariate cell that is not a finite number, empty or
-    whitespace-only, or a third group or outcome value."""
+    """One block of CSV rows as (covariates, group/outcome flags, labels after the
+    block), or None for a ragged row, a covariate cell that is not a finite number,
+    empty or whitespace-only, or a third group or outcome value. `labels` maps each
+    label column to the tuple of its values seen so far, the marked value first."""
     if set(map(len, rows)) != {width}:
         return None
     block = np.array(rows, dtype=object)
     flags = []      # per label column: whether each raw cell strips to its marked value
-    for i, allowed in labels.items():
+    after = {}
+    for i, seen in labels.items():
         raw = set(block[:, i].tolist())
-        new = {cell.strip() for cell in raw}.difference(allowed)
-        if len(allowed) + len(new) > 2:
+        seen = after[i] = seen + tuple({cell.strip() for cell in raw}.difference(seen))
+        if len(seen) > 2:
             return None
-        allowed.extend(new)
-        flags.append(np.isin(block[:, i], [cell for cell in raw if cell.strip() == allowed[0]]))
+        flags.append(np.isin(block[:, i], [cell for cell in raw if cell.strip() == seen[0]]))
     try:
         X, missing = _floats(block[:, cov_idx])
     except ValueError:      # float() reads " 1.5 " but not "  ": strip, and cast once more
@@ -567,7 +593,7 @@ def _parse_block(rows, width, cov_idx, labels):
             return None
     if not (np.isfinite(X) | missing).all():
         return None
-    return X, np.array(flags, dtype=np.int64).T
+    return X, np.array(flags, dtype=np.int64).T, after
 
 
 _STRIP = np.frompyfunc(str.strip, 1, 1)
@@ -583,29 +609,26 @@ def _floats(cells):
 
 def _raise_first_bad_line(path, header, rows, numbers, cov_idx, labels):
     """Raise ConfigurationError naming the first bad line of a block that `_parse_block`
-    refused, and its column; `numbers` holds each row's line number and `labels` the
-    group and outcome values seen before the block."""
+    refused, and its column: the first row it refuses after the rows before it, judged
+    again on no column (its width), on each label and on each covariate alone. `numbers`
+    holds each row's line number and `labels` the values seen before the block."""
+    width = len(header)
     for row, line in zip(rows, numbers):
+        if (parsed := _parse_block([row], width, cov_idx, labels)) is not None:
+            labels = parsed[2]
+            continue
         where = f"{path}, line {line}"
-        if len(row) != len(header):
-            raise ConfigurationError(
-                f"{where}: {len(row)} fields where the header has {len(header)}")
-        cells = [cell.strip() for cell in row]
-        for i, allowed in labels.items():   # the marked value plus one other
-            if cells[i] not in allowed:
-                allowed.append(cells[i])
-            if len(allowed) > 2:
+        if _parse_block([row], width, [], {}) is None:
+            raise ConfigurationError(f"{where}: {len(row)} fields where the header has {width}")
+        for i, seen in labels.items():
+            if _parse_block([row], width, [], {i: seen}) is None:
                 raise ConfigurationError(
-                    f"{where}, column '{header[i]}': {cells[i]!r} is a third value "
-                    f"besides {allowed[0]!r} and {allowed[1]!r}")
+                    f"{where}, column '{header[i]}': {row[i].strip()!r} is a third value "
+                    f"besides {seen[0]!r} and {seen[1]!r}")
         for i in cov_idx:
-            try:
-                if not cells[i] or math.isfinite(float(cells[i])):
-                    continue
-            except ValueError:
-                pass
-            raise ConfigurationError(
-                f"{where}, column '{header[i]}': {cells[i]!r} is not a finite number")
+            if _parse_block([row], width, [i], {}) is None:
+                raise ConfigurationError(
+                    f"{where}, column '{header[i]}': {row[i].strip()!r} is not a finite number")
 
 
 def run_csv_audit(config):

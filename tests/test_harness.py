@@ -329,6 +329,29 @@ def test_sign_audit_compares_means_over_one_set_of_draws():
         [row("marginalised", 0.8, 12), row("majority", 0.9, 20), row("gap", 0.0, 12)]) == []
 
 
+def test_sign_audit_tolerance_scales_with_the_group_means():
+    # clusters of variance 1e8 put the reconstruction means near 1e8, where the rounding
+    # of the sums alone exceeded an absolute 1e-9 and failed the run
+    population = {**SMALL_POPULATION,
+                  "negative_cluster": {"mean": [0.0, 0.0], "variance": 1.0e8},
+                  "positive_majority_cluster": {"mean": [0.0, 1.0e4], "variance": 1.0e8},
+                  "positive_marginalised_cluster": {"mean": [1.0e4, 0.0], "variance": 1.0e8}}
+    report = harness.run_simulation(_small_config(repetitions=4, scenarios=["S1", "S2", "S3"],
+                                                  population=population))
+    assert any(r["metric"] == "reconstruction" and abs(r["mean"]) > 1e7 for r in report.rows)
+
+    def row(group, mean):
+        return {"scenario": "S2", "imputer": "GroupMean", "metric": "reconstruction",
+                "group": group, "mean": mean, "n_values": 12}
+
+    assert harness.audit_sign_convention(
+        [row("marginalised", 2.0e8), row("majority", 1.0e8), row("gap", -1.0e8)]) == \
+        [("S2", "GroupMean", "reconstruction")]
+    assert harness.audit_sign_convention(
+        [row("marginalised", 2.0e8), row("majority", 1.0e8), row("gap", 1.0e8 + 1.0)]) == \
+        [("S2", "GroupMean", "reconstruction")]
+
+
 def test_simulation_deterministic_across_thread_counts(tmp_path):
     a = harness.run_simulation(_small_config(threads=1))
     b = harness.run_simulation(_small_config(threads=3))
@@ -721,6 +744,88 @@ def test_read_csv_cohort_requires_columns(tmp_path):
         harness.read_csv_cohort(str(path), "a", "a")
 
 
+def test_audit_csv_refuses_a_table_that_is_not_utf8(capsys, tmp_path):
+    latin = tmp_path / "latin.csv"      # as Excel's plain "CSV" export writes "café"
+    latin.write_bytes(b"x1,caf\xe9,group,outcome\n1,2,0,1\n")
+    cr = tmp_path / "cr.csv"
+    cr.write_bytes(b"x1,group,outcome\r1,0,1\r\r2\xff,1,0\r")
+    late = pathlib.Path(_csv_with_blocks(tmp_path / "late.csv"))
+    lines = late.read_bytes().split(b"\r\n")
+    lines[2301] += b"\xe9"      # line 2302, in the second parse block
+    late.write_bytes(b"\r\n".join(lines))
+    for path, message in ((latin, "line 1: byte 0xe9"), (cr, "line 4: byte 0xff"),
+                          (late, "line 2302: byte 0xe9")):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["audit-csv", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert "wrote" not in out and "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"missfair audit-csv: error: {path}, {message} is not UTF-8 text"]
+        assert not (tmp_path / "out").exists()
+
+
+def _random_table(rng):
+    """A small CSV table's bytes with the reader's edge cases drawn at random: shuffled
+    columns, ragged rows, blank and whitespace-only lines, CRLF, a quoted comma, a
+    third group or outcome value, and non-numeric, non-finite and whitespace-only cells."""
+    header = [f"x{j}" for j in range(rng.integers(1, 4))] + ["group", "outcome"]
+    rng.shuffle(header)
+    bad = rng.choice([0.0, 0.01, 0.05])
+
+    def cell(name):
+        if name in ("group", "outcome"):
+            return str(rng.choice(["1", "0", " 1", "0 ", "", "2"],
+                                  p=[0.45, 0.4, 0.05, 0.1 - bad, bad / 2, bad / 2]))
+        if rng.random() < bad:
+            return str(rng.choice(["abc", "nan", "-inf", '"1,5"']))
+        return str(rng.choice([f"{rng.standard_normal():.3g}", " 2.5 ", "", "  "]))
+
+    lines = [",".join(header)]
+    for _ in range(rng.integers(0, 12)):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", " \t"])))
+            continue
+        row = [cell(name) for name in header]
+        if rng.random() < bad:
+            row = row[:-1] if rng.random() < 0.5 else row + ["1"]
+        lines.append(",".join(row))
+    newline = str(rng.choice(["\n", "\r\n"]))
+    return (newline.join(lines) + newline).encode()
+
+
+def _read_or_message(path):
+    """What read_csv_cohort makes of `path`: its arrays and names, or its error message."""
+    try:
+        cohort, mask, names = harness.read_csv_cohort(path)
+    except ConfigurationError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in
+            (cohort.covariates, cohort.group, cohort.outcome, mask.observed)] + [names]
+
+
+def test_read_csv_cohort_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    rng = np.random.default_rng(38)
+    path = str(tmp_path / "t.csv")
+    outcomes = []
+    for _ in range(200):
+        pathlib.Path(path).write_bytes(_random_table(rng))
+        reads = []
+        for block_rows in (1, 2, 3, 2048):
+            monkeypatch.setattr(harness, "_CSV_BLOCK_ROWS", block_rows)
+            reads.append(_read_or_message(path))
+        assert reads == reads[:1] * 4
+        outcomes.append(reads[0] if isinstance(reads[0], str) else "read")
+    for kind in ("read", "fields where the header has", "is not a finite number",
+                 "is a third value besides"):
+        assert sum(kind in outcome for outcome in outcomes) >= 10, kind
+    labels = {1: ("1",), 2: ("1",)}
+    X, flags, after = harness._parse_block([["1.5", "0", "1"], [" ", " 1", "0"]], 3, [0],
+                                           labels)
+    assert labels == {1: ("1",), 2: ("1",)}
+    assert after == {1: ("1", "0"), 2: ("1", "0")} and flags.tolist() == [[0, 1], [1, 0]]
+
+
 def test_make_standin_and_csv_audit(tmp_path):
     standin = harness.make_standin(str(tmp_path / "standin.csv"), seed=0,
                                    n_majority=3000, n_marginalised=600, n_noise=2)
@@ -1017,6 +1122,29 @@ def test_cli_reports_configuration_errors_as_usage_errors(capsys, tmp_path):
     assert "error: region.steps must be" in err and "error: csv.path must be set" in err
     assert err.count(f"error: cannot open {absent}: No such file or directory") == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    (b"repetitions: [1\n", "line 2, column 1"),
+    (b"seed: caf\xe9\n", "position 9"),
+], ids=["unclosed-list", "not-utf8"])
+def test_a_config_file_that_is_not_yaml_is_a_usage_error(capsys, tmp_path, text, where):
+    path = tmp_path / "run.yaml"
+    path.write_bytes(text)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert "wrote" not in out and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"cannot parse {path}: " in errors[0] and where in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_config_reads_a_utf16_file(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_bytes("repetitions: 7\n".encode("utf-16"))
+    assert harness.load_config(str(path))["repetitions"] == 7
 
 
 
